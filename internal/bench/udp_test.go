@@ -33,8 +33,28 @@ func TestUDPLoopbackAllProtocols(t *testing.T) {
 					t.Fatalf("op %d: %v", i, err)
 				}
 			}
-			if got := sys.Committed(); got < ops {
-				t.Fatalf("committed %d < %d invoked", got, ops)
+			// The client returns on a reply quorum that may exclude any
+			// one replica, so wait (bounded) for 2f+1 replicas to execute
+			// every op rather than reading one replica once.
+			f := (sys.NumReplicas - 1) / 3
+			if p == MinBFT {
+				f = (sys.NumReplicas - 1) / 2 // MinBFT runs 2f+1 replicas
+			}
+			quorum := 2*f + 1
+			var caughtUp int
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+				caughtUp = 0
+				for i := 0; i < sys.NumReplicas; i++ {
+					if sys.ExecutedAt(i) >= ops {
+						caughtUp++
+					}
+				}
+				if caughtUp >= quorum || time.Now().After(deadline) {
+					break
+				}
+			}
+			if caughtUp < quorum {
+				t.Fatalf("%d replicas executed all %d ops, want %d", caughtUp, ops, quorum)
 			}
 		})
 	}

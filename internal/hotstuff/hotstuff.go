@@ -212,7 +212,7 @@ func New(cfg Config) *Replica {
 func (r *Replica) Persist() []byte {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	snap := replication.CaptureSnapshot(r.cfg.App, r.table)
+	snap := replication.CaptureSnapshot(r.cfg.App, r.table).Bytes()
 	w := wire.NewWriter(64 + len(snap))
 	w.U64(r.lastExec)
 	w.U64(r.executedOps)
@@ -232,7 +232,10 @@ func (r *Replica) restoreFromPersist(blob []byte) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if replication.InstallSnapshot(r.cfg.App, r.table, snap) != nil {
+	// The blob is this replica's own locally-final state, and no quorum
+	// digest exists to check it against, so any well-formed bundle is
+	// accepted.
+	if _, err := replication.InstallSnapshot(r.cfg.App, r.table, snap, func([32]byte) bool { return true }); err != nil {
 		return
 	}
 	r.table.Reauth(uint32(r.cfg.Self), func(c transport.NodeID, b []byte) []byte {

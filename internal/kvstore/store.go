@@ -69,6 +69,10 @@ type Store struct {
 	mu   sync.Mutex
 	tree *BTree
 	ops  uint64
+	// idx is the chunked snapshot index behind Checkpoint, built at the
+	// first checkpoint (so preloading pays nothing for it) and dropped
+	// by Restore.
+	idx *chunkIndex
 }
 
 // NewStore creates an empty store.
@@ -96,6 +100,15 @@ func (s *Store) Load(key string, value []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.tree.Put(key, value)
+	s.touchLocked(key)
+}
+
+// touchLocked records a written key for the next checkpoint. Caller
+// holds s.mu.
+func (s *Store) touchLocked(key string) {
+	if s.idx != nil {
+		s.idx.dirty[key] = struct{}{}
+	}
 }
 
 // Execute implements replication.App.
@@ -123,11 +136,13 @@ func (s *Store) Execute(op []byte) ([]byte, func()) {
 			return errResult("bad put"), nil
 		}
 		old, existed := s.tree.Put(key, value)
+		s.touchLocked(key)
 		w := wire.NewWriter(4)
 		w.Bool(existed)
 		undo := func() {
 			s.mu.Lock()
 			defer s.mu.Unlock()
+			s.touchLocked(key)
 			if existed {
 				s.tree.Put(key, old)
 			} else {
@@ -146,9 +161,11 @@ func (s *Store) Execute(op []byte) ([]byte, func()) {
 		w.Bool(existed)
 		var undo func()
 		if existed {
+			s.touchLocked(key)
 			undo = func() {
 				s.mu.Lock()
 				defer s.mu.Unlock()
+				s.touchLocked(key)
 				s.tree.Put(key, old)
 			}
 		}
@@ -181,45 +198,46 @@ func (s *Store) Execute(op []byte) ([]byte, func()) {
 }
 
 // Snapshot implements replication.Snapshotter: a deterministic dump of
-// every (key, value) pair in key order. Two stores holding the same map
-// produce identical bytes, so checkpoint digests computed over the
-// snapshot match across replicas.
+// every (key, value) pair in key order (a U32 count, then VarBytes key
+// and value per pair). Two stores holding the same map produce
+// identical bytes.
 func (s *Store) Snapshot() []byte {
+	_, snap := s.Checkpoint()
+	return snap()
+}
+
+// Checkpoint implements replication.Checkpointer: the app digest of the
+// current state (see chunks.go) and a function returning its Snapshot
+// bytes, which stay those of this state however the store changes
+// afterwards. Only the chunks written since the last checkpoint are
+// re-hashed.
+func (s *Store) Checkpoint() ([32]byte, func() []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	w := wire.NewWriter(16 + 32*s.tree.Len())
-	w.U32(uint32(s.tree.Len()))
-	s.tree.Scan("", "", func(k string, v []byte) bool {
-		w.VarBytes([]byte(k))
-		w.VarBytes(v)
-		return true
-	})
-	return w.Bytes()
+	if s.idx == nil {
+		s.idx = newChunkIndex(s.tree)
+	} else {
+		s.idx.refresh(s.tree)
+	}
+	count, chunks := uint32(s.tree.Len()), s.idx.chunks
+	return s.idx.digest, func() []byte { return encodeChunks(count, chunks) }
 }
 
 // Restore implements replication.Snapshotter: it replaces the tree with
-// the snapshot's contents.
+// the snapshot's contents. It accepts exactly the bytes SnapshotDigest
+// accepts.
 func (s *Store) Restore(data []byte) error {
-	r := wire.NewReader(data)
-	n := r.U32()
-	if r.Err() != nil {
-		return r.Err()
-	}
 	tree := NewBTree()
-	for i := uint32(0); i < n; i++ {
-		k := string(r.VarBytes())
-		v := append([]byte(nil), r.VarBytes()...)
-		if r.Err() != nil {
-			return r.Err()
-		}
-		tree.Put(k, v)
-	}
-	if err := r.Done(); err != nil {
+	err := eachItem(data, func(k, v []byte, _ int) {
+		tree.Put(string(k), append([]byte(nil), v...))
+	})
+	if err != nil {
 		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.tree = tree
+	s.idx = nil
 	return nil
 }
 

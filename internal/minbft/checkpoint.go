@@ -1,7 +1,6 @@
 package minbft
 
 import (
-	"crypto/sha256"
 	"time"
 
 	"neobft/internal/replication"
@@ -12,7 +11,7 @@ import (
 
 // MinBFT checkpoints, built on the shared seqlog checkpoint engine.
 // Because the USIG rules out equivocation, f+1 matching votes over the
-// snapshot digest suffice for stability (at least one is honest, and no
+// state digest suffice for stability (at least one is honest, and no
 // replica can have voted for two different states at the same counter).
 // Stability truncates the slot window below the checkpoint; a replica
 // that falls behind the group's window fetches the stable snapshot
@@ -27,13 +26,12 @@ const fetchCooldown = 100 * time.Millisecond
 // capture the snapshot, vote, and broadcast the checkpoint message.
 // Caller holds r.mu.
 func (r *Replica) captureCheckpointLocked(seq uint64) {
-	snap := replication.CaptureSnapshot(r.cfg.App, r.table)
-	stateD := sha256.Sum256(snap)
+	state := replication.CaptureSnapshot(r.cfg.App, r.table)
+	stateD := state.StateDigest
 	p := &pendingCkpt{
-		seq:         seq,
-		stateDigest: stateD,
-		snapshot:    snap,
-		digest:      seqlog.Digest(ckptDomain, seq, stateD),
+		seq:    seq,
+		state:  state,
+		digest: seqlog.Digest(ckptDomain, seq, stateD),
 	}
 	r.pendingCkpt[seq] = p
 	r.mCkpt.Inc()
@@ -148,15 +146,16 @@ func (r *Replica) onStateFetch(from transport.NodeID, haveExec uint64) {
 		return
 	}
 	r.mSnapServe.Inc()
-	w := wire.NewWriter(256 + len(r.stable.snapshot))
+	snap := r.stable.state.Bytes()
+	w := wire.NewWriter(256 + len(snap))
 	w.U8(kindStateSnap)
 	w.VarBytes(r.stable.cert.Marshal())
-	w.VarBytes(r.stable.snapshot)
+	w.VarBytes(snap)
 	r.conn.Send(from, w.Bytes())
 }
 
 // onStateSnap installs a snapshot state transfer. The certificate's f+1
-// authenticated votes bind the snapshot digest, so the snapshot needs no
+// authenticated votes bind the state digest, so the snapshot needs no
 // further trust in the sender.
 func (r *Replica) onStateSnap(body []byte) {
 	rd := wire.NewReader(body)
@@ -187,11 +186,10 @@ func (r *Replica) installSnapshotLocked(cert *seqlog.Cert, snap []byte) bool {
 	}) {
 		return false
 	}
-	stateD := sha256.Sum256(snap)
-	if cert.Digest != seqlog.Digest(ckptDomain, cert.Slot, stateD) {
-		return false
-	}
-	if replication.InstallSnapshot(r.cfg.App, r.table, snap) != nil {
+	state, err := replication.InstallSnapshot(r.cfg.App, r.table, snap, func(stateD [32]byte) bool {
+		return cert.Digest == seqlog.Digest(ckptDomain, cert.Slot, stateD)
+	})
+	if err != nil {
 		return false
 	}
 	r.table.Reauth(uint32(r.cfg.Self), func(c transport.NodeID, b []byte) []byte {
@@ -207,7 +205,7 @@ func (r *Replica) installSnapshotLocked(cert *seqlog.Cert, snap []byte) bool {
 		r.lastSeen[prim] = cert.Slot
 	}
 	r.stable = &stableCkpt{
-		pendingCkpt: pendingCkpt{seq: cert.Slot, stateDigest: stateD, snapshot: snap, digest: cert.Digest},
+		pendingCkpt: pendingCkpt{seq: cert.Slot, state: state, digest: cert.Digest},
 		cert:        cert,
 	}
 	r.ckpt.SetStable(cert)
@@ -242,9 +240,10 @@ func (r *Replica) Persist() []byte {
 	if r.stable == nil {
 		return nil
 	}
-	w := wire.NewWriter(256 + len(r.stable.snapshot))
+	snap := r.stable.state.Bytes()
+	w := wire.NewWriter(256 + len(snap))
 	w.VarBytes(r.stable.cert.Marshal())
-	w.VarBytes(r.stable.snapshot)
+	w.VarBytes(snap)
 	return w.Bytes()
 }
 

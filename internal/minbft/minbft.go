@@ -138,10 +138,9 @@ type Replica struct {
 // pendingCkpt is a checkpoint this replica has taken but whose
 // certificate has not yet formed.
 type pendingCkpt struct {
-	seq         uint64
-	stateDigest [32]byte
-	snapshot    []byte
-	digest      [32]byte // seqlog.Digest(ckptDomain, seq, stateDigest)
+	seq    uint64
+	state  *replication.Capture
+	digest [32]byte // seqlog.Digest(ckptDomain, seq, state.StateDigest)
 }
 
 // stableCkpt is the latest checkpoint with an f+1 certificate.

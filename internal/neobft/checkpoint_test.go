@@ -2,6 +2,8 @@ package neobft
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"time"
@@ -169,4 +171,113 @@ func TestPartitionedReplicaCatchesUpViaSnapshot(t *testing.T) {
 	}
 	// The group keeps running with the healed replica participating.
 	put(total)
+}
+
+// TestTamperedSnapshotRejected: a state-transfer snapshot whose kv
+// section has one flipped value byte, or two chunks swapped, does not
+// match the state digest the stable certificate binds. onStateSnapshot
+// refuses it before replacing anything: the lagging replica's app state
+// and client table stay as they were. The honest bundle, built through
+// the lazy Capture bytes, installs.
+func TestTamperedSnapshotRejected(t *testing.T) {
+	stores := make([]*kvstore.Store, 4)
+	c := newCluster(t, clusterOpts{variant: wire.AuthHMAC, appFactory: func(i int) replication.App {
+		stores[i] = kvstore.NewStore()
+		for k := 0; k < 400; k++ { // enough keys for a dozen chunks
+			stores[i].Load(fmt.Sprintf("pre-%03d", k), []byte{byte(k)})
+		}
+		return stores[i]
+	}})
+	setSyncInterval(c, 8)
+	cl := c.client(0)
+	const victim = 3
+	c.net.BlockNode(transport.NodeID(victim+1), true)
+	for i := 0; i < 20; i++ {
+		if _, err := cl.Invoke(kvstore.EncodePut(fmt.Sprintf("key-%03d", i), []byte{byte(i)}), 5*time.Second); err != nil {
+			t.Fatalf("put %d: %v", i, err)
+		}
+	}
+	leader := c.replicas[0]
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) && leader.LowWatermark() < 16 {
+		time.Sleep(time.Millisecond)
+	}
+	leader.mu.Lock()
+	if leader.stable == nil {
+		leader.mu.Unlock()
+		t.Fatal("leader holds no stable checkpoint")
+	}
+	view, cert, logHash := leader.view, leader.stable.cert, leader.stable.logHash
+	good := leader.stable.state.Bytes()
+	leader.mu.Unlock()
+
+	body := func(snap []byte) []byte {
+		w := wire.NewWriter(256 + len(snap))
+		w.U64(view.Pack())
+		w.VarBytes(cert.Marshal())
+		w.Bytes32(logHash)
+		w.VarBytes(snap)
+		return w.Bytes()
+	}
+	rd := wire.NewReader(good)
+	app, table := rd.VarBytes(), rd.VarBytes()
+	bundle := func(app []byte) []byte {
+		w := wire.NewWriter(8 + len(app) + len(table))
+		w.VarBytes(app)
+		w.VarBytes(table)
+		return w.Bytes()
+	}
+	flipped := append([]byte(nil), app...)
+	flipped[len(flipped)-1] ^= 1 // the last value's last byte
+
+	r := c.replicas[victim]
+	state := func() ([]byte, []byte) {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return stores[victim].Snapshot(), r.clientTable.Snapshot()
+	}
+	appBefore, tableBefore := state()
+	for name, snap := range map[string][]byte{
+		"flipped value byte": bundle(flipped),
+		"swapped chunks":     bundle(swapFirstChunks(t, app)),
+	} {
+		r.onStateSnapshot(body(snap))
+		if n := r.SnapshotInstalls(); n != 0 {
+			t.Fatalf("%s: installed (%d installs)", name, n)
+		}
+		if appNow, tableNow := state(); !bytes.Equal(appNow, appBefore) || !bytes.Equal(tableNow, tableBefore) {
+			t.Fatalf("%s: rejected snapshot changed the replica's state", name)
+		}
+	}
+	r.onStateSnapshot(body(good))
+	if n := r.SnapshotInstalls(); n != 1 {
+		t.Fatalf("honest snapshot not installed (%d installs)", n)
+	}
+	if appNow, _ := state(); !bytes.Equal(appNow, app) {
+		t.Fatal("installed app state differs from the certified snapshot")
+	}
+}
+
+// swapFirstChunks swaps the first two chunks of kv Snapshot bytes, cut
+// with the kv store's chunk rule (a chunk ends after a key whose
+// SHA-256 starts with a big-endian uint64 that is 0 mod 32).
+func swapFirstChunks(t *testing.T, snap []byte) []byte {
+	t.Helper()
+	rd := wire.NewReader(snap)
+	n := rd.U32()
+	var cuts []int
+	for i := uint32(0); i < n && len(cuts) < 2; i++ {
+		k := rd.VarBytes()
+		rd.VarBytes()
+		if h := sha256.Sum256(k); binary.BigEndian.Uint64(h[:8])%32 == 0 {
+			cuts = append(cuts, len(snap)-rd.Remaining())
+		}
+	}
+	if len(cuts) < 2 {
+		t.Fatal("snapshot has fewer than three chunks")
+	}
+	out := append([]byte(nil), snap[:4]...)
+	out = append(out, snap[cuts[0]:cuts[1]]...)
+	out = append(out, snap[4:cuts[0]]...)
+	return append(out, snap[cuts[1]:]...)
 }

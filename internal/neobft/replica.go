@@ -193,11 +193,10 @@ type Replica struct {
 // pendingCkpt is a checkpoint captured when execution crossed an
 // interval boundary, awaiting a stable certificate.
 type pendingCkpt struct {
-	slot        uint64
-	logHash     [32]byte
-	stateDigest [32]byte
-	snapshot    []byte
-	digest      [32]byte // seqlog.Digest(ckptDomain, slot, logHash, stateDigest)
+	slot    uint64
+	logHash [32]byte
+	state   *replication.Capture
+	digest  [32]byte // seqlog.Digest(ckptDomain, slot, logHash, state.StateDigest)
 }
 
 // stableCkpt is the latest stable checkpoint: the snapshot this replica

@@ -1,7 +1,6 @@
 package neobft
 
 import (
-	"crypto/sha256"
 	"sort"
 
 	"neobft/internal/replication"
@@ -32,24 +31,23 @@ func (r *Replica) syncHorizonLocked() uint64 {
 	return r.log.High() + uint64(r.cfg.SyncInterval)
 }
 
-// snapshotLocked captures the replica-level snapshot bundle (application
-// state plus client table). Caller holds r.mu.
-func (r *Replica) snapshotLocked() []byte {
-	return replication.CaptureSnapshot(r.cfg.App, r.clientTable)
-}
-
-// restoreSnapshotLocked installs replica-level snapshot bytes. Caller
+// restoreSnapshotLocked installs replica-level snapshot bytes (a
+// replication.Capture bundle) once their state digest, recomputed from
+// the bytes, matches the one cert binds together with logHash. Caller
 // holds r.mu.
-func (r *Replica) restoreSnapshotLocked(snap []byte) bool {
-	if replication.InstallSnapshot(r.cfg.App, r.clientTable, snap) != nil {
-		return false
+func (r *Replica) restoreSnapshotLocked(cert *seqlog.Cert, logHash [32]byte, snap []byte) *replication.Capture {
+	state, err := replication.InstallSnapshot(r.cfg.App, r.clientTable, snap, func(stateD [32]byte) bool {
+		return cert.Digest == seqlog.Digest(ckptDomain, cert.Slot, logHash, stateD)
+	})
+	if err != nil {
+		return nil
 	}
 	// Cached replies in the snapshot are canonicalized (no authenticator);
 	// re-stamp them as this replica's.
 	r.clientTable.Reauth(uint32(r.cfg.Self), func(c transport.NodeID, body []byte) []byte {
 		return r.cfg.ClientAuth.TagFor(int64(c), body)
 	})
-	return true
+	return state
 }
 
 // captureCheckpointLocked runs when execution crosses an interval
@@ -60,14 +58,13 @@ func (r *Replica) captureCheckpointLocked(slot uint64) {
 	if !ok {
 		return
 	}
-	snap := r.snapshotLocked()
-	stateD := sha256.Sum256(snap)
+	state := replication.CaptureSnapshot(r.cfg.App, r.clientTable)
+	stateD := state.StateDigest
 	p := &pendingCkpt{
-		slot:        slot,
-		logHash:     e.logHash,
-		stateDigest: stateD,
-		snapshot:    snap,
-		digest:      seqlog.Digest(ckptDomain, slot, e.logHash, stateD),
+		slot:    slot,
+		logHash: e.logHash,
+		state:   state,
+		digest:  seqlog.Digest(ckptDomain, slot, e.logHash, stateD),
 	}
 	r.pending[slot] = p
 	r.mCkpt.Inc()
@@ -271,7 +268,8 @@ func (r *Replica) Persist() []byte {
 		epochs = append(epochs, e)
 	}
 	sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
-	w := wire.NewWriter(512 + len(r.stable.snapshot))
+	snap := r.stable.state.Bytes()
+	w := wire.NewWriter(512 + len(snap))
 	w.U64(r.view.Pack())
 	w.U32(uint32(len(epochs)))
 	for _, e := range epochs {
@@ -280,7 +278,7 @@ func (r *Replica) Persist() []byte {
 	}
 	w.VarBytes(r.stable.cert.Marshal())
 	w.Bytes32(r.stable.logHash)
-	w.VarBytes(r.stable.snapshot)
+	w.VarBytes(snap)
 	return w.Bytes()
 }
 
@@ -323,11 +321,8 @@ func (r *Replica) restoreFromPersist(blob []byte) {
 	}) {
 		return
 	}
-	stateD := sha256.Sum256(snap)
-	if cert.Digest != seqlog.Digest(ckptDomain, cert.Slot, logHash, stateD) {
-		return
-	}
-	if !r.restoreSnapshotLocked(snap) {
+	state := r.restoreSnapshotLocked(cert, logHash, snap)
+	if state == nil {
 		return
 	}
 	r.view = view
@@ -337,11 +332,8 @@ func (r *Replica) restoreFromPersist(blob []byte) {
 	r.specExecuted = cert.Slot
 	r.syncPoint = cert.Slot
 	r.stable = &stableCkpt{
-		pendingCkpt: pendingCkpt{
-			slot: cert.Slot, logHash: logHash, stateDigest: stateD,
-			snapshot: snap, digest: cert.Digest,
-		},
-		cert: cert,
+		pendingCkpt: pendingCkpt{slot: cert.Slot, logHash: logHash, state: state, digest: cert.Digest},
+		cert:        cert,
 	}
 	r.ckpt.SetStable(cert)
 	r.gLow.Set(int64(r.log.Low()))
@@ -402,19 +394,20 @@ func (r *Replica) onStateRequest(from transport.NodeID, body []byte) {
 
 // serveSnapshotLocked ships the stable checkpoint snapshot to a replica
 // whose log ends below our low watermark. The certificate inside binds
-// the snapshot digest, so the transfer carries its own proof. Caller
+// the state digest, so the transfer carries its own proof. Caller
 // holds r.mu.
 func (r *Replica) serveSnapshotLocked(to transport.NodeID) {
 	if r.stable == nil {
 		return
 	}
 	r.mSnapServe.Inc()
-	w := wire.NewWriter(256 + len(r.stable.snapshot))
+	snap := r.stable.state.Bytes()
+	w := wire.NewWriter(256 + len(snap))
 	w.U8(kindStateSnapshot)
 	w.U64(r.view.Pack())
 	w.VarBytes(r.stable.cert.Marshal())
 	w.Bytes32(r.stable.logHash)
-	w.VarBytes(r.stable.snapshot)
+	w.VarBytes(snap)
 	r.conn.Send(to, w.Bytes())
 }
 
@@ -463,8 +456,9 @@ func (r *Replica) onStateReply(body []byte) {
 
 // onStateSnapshot installs a snapshot-based state transfer: a stable
 // checkpoint certificate, the chain hash at its slot, and the snapshot
-// bytes. The certificate's 2f+1 authenticated votes bind the snapshot
-// digest, so the snapshot needs no further trust in the sender.
+// bytes. The certificate's 2f+1 authenticated votes bind the state
+// digest, which is recomputed from the received bytes before anything is
+// installed, so the snapshot needs no further trust in the sender.
 func (r *Replica) onStateSnapshot(body []byte) {
 	rd := wire.NewReader(body)
 	view := UnpackView(rd.U64())
@@ -491,11 +485,8 @@ func (r *Replica) onStateSnapshot(body []byte) {
 	}) {
 		return
 	}
-	stateD := sha256.Sum256(snap)
-	if cert.Digest != seqlog.Digest(ckptDomain, cert.Slot, logHash, stateD) {
-		return
-	}
-	if !r.restoreSnapshotLocked(snap) {
+	state := r.restoreSnapshotLocked(cert, logHash, snap)
+	if state == nil {
 		return
 	}
 	// Adopt the checkpointed state wholesale: the log restarts at the
@@ -507,11 +498,8 @@ func (r *Replica) onStateSnapshot(body []byte) {
 	r.specExecuted = cert.Slot
 	r.syncPoint = cert.Slot
 	r.stable = &stableCkpt{
-		pendingCkpt: pendingCkpt{
-			slot: cert.Slot, logHash: logHash, stateDigest: stateD,
-			snapshot: snap, digest: cert.Digest,
-		},
-		cert: cert,
+		pendingCkpt: pendingCkpt{slot: cert.Slot, logHash: logHash, state: state, digest: cert.Digest},
+		cert:        cert,
 	}
 	r.ckpt.SetStable(cert)
 	r.pruneFinalizedLocked(cert.Slot)

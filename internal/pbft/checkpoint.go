@@ -1,7 +1,6 @@
 package pbft
 
 import (
-	"crypto/sha256"
 	"time"
 
 	"neobft/internal/replication"
@@ -14,7 +13,7 @@ import (
 // checkpoint engine. After executing a sequence number that is a
 // multiple of the checkpoint interval, each replica captures a snapshot
 // of its state (application plus client table), broadcasts
-// ⟨CHECKPOINT, n, d, i⟩_σi over the snapshot digest, and collects 2f+1
+// ⟨CHECKPOINT, n, d, i⟩_σi over the state digest, and collects 2f+1
 // matching votes into a stable checkpoint certificate. Stability moves
 // the low watermark: slots at or below it are truncated, and the
 // certificate replaces their prepared-proofs in view changes. A replica
@@ -26,13 +25,12 @@ import (
 // capture the snapshot, vote, and broadcast the checkpoint message.
 // Caller holds r.mu.
 func (r *Replica) captureCheckpointLocked(seq uint64) {
-	snap := replication.CaptureSnapshot(r.cfg.App, r.table)
-	stateD := sha256.Sum256(snap)
+	state := replication.CaptureSnapshot(r.cfg.App, r.table)
+	stateD := state.StateDigest
 	p := &pendingCkpt{
-		seq:         seq,
-		stateDigest: stateD,
-		snapshot:    snap,
-		digest:      seqlog.Digest(ckptDomain, seq, stateD),
+		seq:    seq,
+		state:  state,
+		digest: seqlog.Digest(ckptDomain, seq, stateD),
 	}
 	r.pendingCkpt[seq] = p
 	r.mCkpt.Inc()
@@ -153,15 +151,16 @@ func (r *Replica) onStateFetch(from transport.NodeID, haveExec uint64) {
 		return
 	}
 	r.mSnapServe.Inc()
-	w := wire.NewWriter(256 + len(r.stable.snapshot))
+	snap := r.stable.state.Bytes()
+	w := wire.NewWriter(256 + len(snap))
 	w.U8(kindStateSnap)
 	w.VarBytes(r.stable.cert.Marshal())
-	w.VarBytes(r.stable.snapshot)
+	w.VarBytes(snap)
 	r.conn.Send(from, w.Bytes())
 }
 
 // onStateSnap installs a snapshot state transfer. The certificate's
-// 2f+1 authenticated votes bind the snapshot digest, so the snapshot
+// 2f+1 authenticated votes bind the state digest, so the snapshot
 // needs no further trust in the sender.
 func (r *Replica) onStateSnap(body []byte) {
 	rd := wire.NewReader(body)
@@ -192,11 +191,10 @@ func (r *Replica) installSnapshotLocked(cert *seqlog.Cert, snap []byte) bool {
 	}) {
 		return false
 	}
-	stateD := sha256.Sum256(snap)
-	if cert.Digest != seqlog.Digest(ckptDomain, cert.Slot, stateD) {
-		return false
-	}
-	if replication.InstallSnapshot(r.cfg.App, r.table, snap) != nil {
+	state, err := replication.InstallSnapshot(r.cfg.App, r.table, snap, func(stateD [32]byte) bool {
+		return cert.Digest == seqlog.Digest(ckptDomain, cert.Slot, stateD)
+	})
+	if err != nil {
 		return false
 	}
 	// Cached replies in the snapshot are canonicalized; re-stamp them as
@@ -212,7 +210,7 @@ func (r *Replica) installSnapshotLocked(cert *seqlog.Cert, snap []byte) bool {
 		r.seq = cert.Slot
 	}
 	r.stable = &stableCkpt{
-		pendingCkpt: pendingCkpt{seq: cert.Slot, stateDigest: stateD, snapshot: snap, digest: cert.Digest},
+		pendingCkpt: pendingCkpt{seq: cert.Slot, state: state, digest: cert.Digest},
 		cert:        cert,
 	}
 	r.ckpt.SetStable(cert)
@@ -248,9 +246,10 @@ func (r *Replica) Persist() []byte {
 	if r.stable == nil {
 		return nil
 	}
-	w := wire.NewWriter(256 + len(r.stable.snapshot))
+	snap := r.stable.state.Bytes()
+	w := wire.NewWriter(256 + len(snap))
 	w.VarBytes(r.stable.cert.Marshal())
-	w.VarBytes(r.stable.snapshot)
+	w.VarBytes(snap)
 	return w.Bytes()
 }
 

@@ -172,10 +172,9 @@ type Replica struct {
 // pendingCkpt is a checkpoint captured when execution crossed an
 // interval boundary, awaiting a stable certificate.
 type pendingCkpt struct {
-	seq         uint64
-	stateDigest [32]byte
-	snapshot    []byte
-	digest      [32]byte // seqlog.Digest(ckptDomain, seq, stateDigest)
+	seq    uint64
+	state  *replication.Capture
+	digest [32]byte // seqlog.Digest(ckptDomain, seq, state.StateDigest)
 }
 
 // stableCkpt is the latest stable checkpoint: the snapshot this replica

@@ -24,63 +24,6 @@ type App interface {
 	Execute(op []byte) (result []byte, undo func())
 }
 
-// Snapshotter is the state-transfer extension of App: applications that
-// implement it can be checkpointed and restored, so a lagging replica
-// receives a snapshot plus the log suffix instead of replaying the log
-// from slot 1 (§B.2). Snapshot must be deterministic — two replicas with
-// identical state return identical bytes — because checkpoint digests
-// are computed over it. Restore replaces the application state wholesale
-// with the snapshotted one.
-type Snapshotter interface {
-	Snapshot() []byte
-	Restore(data []byte) error
-}
-
-// CaptureSnapshot bundles the application snapshot with the client table
-// into one deterministic byte string — the unit every protocol's
-// checkpoint digest covers and state transfer ships. The client table
-// must travel with the application state: without it a restored replica
-// would re-execute duplicate client requests occupying later log slots
-// and diverge. Applications that do not implement Snapshotter contribute
-// an empty application section.
-func CaptureSnapshot(app App, table *ClientTable) []byte {
-	var appB []byte
-	if s, ok := app.(Snapshotter); ok {
-		appB = s.Snapshot()
-	}
-	tableB := table.Snapshot()
-	w := wire.NewWriter(16 + len(appB) + len(tableB))
-	w.VarBytes(appB)
-	w.VarBytes(tableB)
-	return w.Bytes()
-}
-
-var errSnapshotBundle = &wireError{"replication: malformed snapshot bundle"}
-
-type wireError struct{ msg string }
-
-func (e *wireError) Error() string { return e.msg }
-
-// InstallSnapshot restores a CaptureSnapshot bundle into the application
-// and client table. The caller is responsible for re-stamping cached
-// replies (ClientTable.Reauth) afterwards.
-func InstallSnapshot(app App, table *ClientTable, data []byte) error {
-	rd := wire.NewReader(data)
-	appB := rd.VarBytes()
-	tableB := rd.VarBytes()
-	if rd.Done() != nil {
-		return errSnapshotBundle
-	}
-	if s, ok := app.(Snapshotter); ok {
-		if err := s.Restore(appB); err != nil {
-			return err
-		}
-	} else if len(appB) != 0 {
-		return errSnapshotBundle
-	}
-	return table.Restore(tableB)
-}
-
 // EchoApp is the echo-RPC application used by the paper's protocol-level
 // experiments (§6.2): it returns the request payload unchanged.
 type EchoApp struct{}

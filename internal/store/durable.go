@@ -1,7 +1,6 @@
 package store
 
 import (
-	"errors"
 	"sync/atomic"
 
 	"neobft/internal/replication"
@@ -15,17 +14,16 @@ import (
 // durability comes from the checkpoint records the persist loop
 // appends, not from this journal (see the package comment).
 //
-// The wrapper always implements replication.Snapshotter, delegating
-// to the inner application when it does; CaptureSnapshot and
-// InstallSnapshot therefore see the same shape whether or not the
-// inner app supports snapshots (an empty section either way).
+// The wrapper always implements replication.Checkpointer, delegating
+// to replication.AsCheckpointer(app): an incremental application keeps
+// its incremental checkpoints, and CaptureSnapshot and InstallSnapshot
+// see the same state whether or not the application is wrapped.
 func Durable(app replication.App, st *Store) replication.App {
-	return &durableApp{inner: app, st: st}
+	return &durableApp{Checkpointer: replication.AsCheckpointer(app), inner: app, st: st}
 }
 
-var errRestoreOpaque = errors.New("store: snapshot for a non-snapshot application")
-
 type durableApp struct {
+	replication.Checkpointer
 	inner replication.App
 	st    *Store
 	seq   atomic.Uint64
@@ -36,21 +34,4 @@ func (d *durableApp) Execute(op []byte) ([]byte, func()) {
 	// under a concurrent snapshot.
 	d.st.AppendOp(d.seq.Add(1), op)
 	return d.inner.Execute(op)
-}
-
-func (d *durableApp) Snapshot() []byte {
-	if s, ok := d.inner.(replication.Snapshotter); ok {
-		return s.Snapshot()
-	}
-	return nil
-}
-
-func (d *durableApp) Restore(data []byte) error {
-	if s, ok := d.inner.(replication.Snapshotter); ok {
-		return s.Restore(data)
-	}
-	if len(data) != 0 {
-		return errRestoreOpaque
-	}
-	return nil
 }

@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"neobft/internal/kvstore"
 	"neobft/internal/metrics"
+	"neobft/internal/replication"
 )
 
 // fastOpts keeps test stores snappy: no linger, no real fsync.
@@ -362,6 +364,43 @@ func TestDurableAppJournals(t *testing.T) {
 	r := s2.Recovered()
 	if len(r.Ops) != 5 || !bytes.Equal(r.Ops[4], []byte("op-4")) {
 		t.Fatalf("journal %d ops %q", len(r.Ops), r.Ops)
+	}
+}
+
+// TestDurableForwardsCheckpointer: wrapping the kv store in Durable
+// keeps its incremental checkpoints — Durable(kv) and kv report the
+// same checkpoint and state digests at every step (a full-capture
+// fallback would digest SHA-256 of the snapshot instead).
+func TestDurableForwardsCheckpointer(t *testing.T) {
+	s, err := Open(t.TempDir(), fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	plain, wrapped := kvstore.NewStore(), kvstore.NewStore()
+	app := Durable(wrapped, s)
+	ck, ok := app.(replication.Checkpointer)
+	if !ok {
+		t.Fatal("Durable hides replication.Checkpointer")
+	}
+	table := replication.NewClientTable()
+	for round := 0; round < 4; round++ {
+		for i := 0; i < 300; i++ {
+			op := kvstore.EncodePut(fmt.Sprintf("k%04d", (i*7+round*13)%500), []byte{byte(round)})
+			plain.Execute(op)
+			app.Execute(op)
+		}
+		want, _ := plain.Checkpoint()
+		got, snap := ck.Checkpoint()
+		if got != want {
+			t.Fatalf("round %d: Durable(kv) checkpoint digest %x, kv %x", round, got[:6], want[:6])
+		}
+		if d, err := ck.SnapshotDigest(snap()); err != nil || d != want {
+			t.Fatalf("round %d: SnapshotDigest through Durable = %x, %v", round, d[:6], err)
+		}
+		if a, b := replication.CaptureSnapshot(app, table), replication.CaptureSnapshot(plain, table); a.StateDigest != b.StateDigest {
+			t.Fatalf("round %d: state digests differ through Durable", round)
+		}
 	}
 }
 

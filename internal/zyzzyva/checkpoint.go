@@ -1,7 +1,6 @@
 package zyzzyva
 
 import (
-	"crypto/sha256"
 	"time"
 
 	"neobft/internal/replication"
@@ -28,14 +27,13 @@ const fetchCooldown = 100 * time.Millisecond
 // capture the snapshot, vote, and broadcast the checkpoint message.
 // Caller holds r.mu.
 func (r *Replica) captureCheckpointLocked(seq uint64) {
-	snap := replication.CaptureSnapshot(r.cfg.App, r.table)
-	stateD := sha256.Sum256(snap)
+	state := replication.CaptureSnapshot(r.cfg.App, r.table)
+	stateD := state.StateDigest
 	p := &pendingCkpt{
-		seq:         seq,
-		history:     r.history,
-		stateDigest: stateD,
-		snapshot:    snap,
-		digest:      seqlog.Digest(ckptDomain, seq, r.history, stateD),
+		seq:     seq,
+		history: r.history,
+		state:   state,
+		digest:  seqlog.Digest(ckptDomain, seq, r.history, stateD),
 	}
 	r.pendingCkpt[seq] = p
 	r.mCkpt.Inc()
@@ -128,16 +126,17 @@ func (r *Replica) onStateFetch(from transport.NodeID, haveExec uint64) {
 		return
 	}
 	r.mSnapServe.Inc()
-	w := wire.NewWriter(256 + len(r.stable.snapshot))
+	snap := r.stable.state.Bytes()
+	w := wire.NewWriter(256 + len(snap))
 	w.U8(kindStateSnap)
 	w.VarBytes(r.stable.cert.Marshal())
 	w.Bytes32(r.stable.history)
-	w.VarBytes(r.stable.snapshot)
+	w.VarBytes(snap)
 	r.conn.Send(from, w.Bytes())
 }
 
 // onStateSnap installs a snapshot state transfer. The certificate's 2f+1
-// authenticated votes bind both the snapshot digest and the history
+// authenticated votes bind both the state digest and the history
 // hash, so the speculative chain resumes from a certified point.
 func (r *Replica) onStateSnap(body []byte) {
 	rd := wire.NewReader(body)
@@ -169,11 +168,10 @@ func (r *Replica) installSnapshotLocked(cert *seqlog.Cert, history [32]byte, sna
 	}) {
 		return false
 	}
-	stateD := sha256.Sum256(snap)
-	if cert.Digest != seqlog.Digest(ckptDomain, cert.Slot, history, stateD) {
-		return false
-	}
-	if replication.InstallSnapshot(r.cfg.App, r.table, snap) != nil {
+	state, err := replication.InstallSnapshot(r.cfg.App, r.table, snap, func(stateD [32]byte) bool {
+		return cert.Digest == seqlog.Digest(ckptDomain, cert.Slot, history, stateD)
+	})
+	if err != nil {
 		return false
 	}
 	r.table.Reauth(uint32(r.cfg.Self), func(c transport.NodeID, b []byte) []byte {
@@ -186,7 +184,7 @@ func (r *Replica) installSnapshotLocked(cert *seqlog.Cert, history [32]byte, sna
 	}
 	r.history = history
 	r.stable = &stableCkpt{
-		pendingCkpt: pendingCkpt{seq: cert.Slot, history: history, stateDigest: stateD, snapshot: snap, digest: cert.Digest},
+		pendingCkpt: pendingCkpt{seq: cert.Slot, history: history, state: state, digest: cert.Digest},
 		cert:        cert,
 	}
 	r.ckpt.SetStable(cert)
@@ -227,10 +225,11 @@ func (r *Replica) Persist() []byte {
 	if r.stable == nil {
 		return nil
 	}
-	w := wire.NewWriter(256 + len(r.stable.snapshot))
+	snap := r.stable.state.Bytes()
+	w := wire.NewWriter(256 + len(snap))
 	w.VarBytes(r.stable.cert.Marshal())
 	w.Bytes32(r.stable.history)
-	w.VarBytes(r.stable.snapshot)
+	w.VarBytes(snap)
 	return w.Bytes()
 }
 

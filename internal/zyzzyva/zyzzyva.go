@@ -135,11 +135,10 @@ type Replica struct {
 // pendingCkpt is a checkpoint this replica has taken but whose
 // certificate has not yet formed.
 type pendingCkpt struct {
-	seq         uint64
-	history     [32]byte
-	stateDigest [32]byte
-	snapshot    []byte
-	digest      [32]byte // seqlog.Digest(ckptDomain, seq, history, stateDigest)
+	seq     uint64
+	history [32]byte
+	state   *replication.Capture
+	digest  [32]byte // seqlog.Digest(ckptDomain, seq, history, state.StateDigest)
 }
 
 // stableCkpt is the latest checkpoint with a 2f+1 certificate.
