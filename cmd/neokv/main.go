@@ -31,7 +31,6 @@ package main
 
 import (
 	"bufio"
-	"crypto/sha256"
 	"flag"
 	"fmt"
 	"log"
@@ -260,45 +259,23 @@ func (o *options) openStore(idx int, reg *metrics.Registry, tr *tracing.Tracer) 
 	return st
 }
 
-// persistReplica runs the background checkpoint persister for one
+// startPersister starts the background checkpoint persister for one
 // durable replica: every -persist-every it captures the replica's
-// stable checkpoint into the WAL under group commit, skipping captures
-// that have not advanced. The returned stop function takes one final
-// capture (the graceful-shutdown persist) and closes the store.
-func persistReplica(r *neobft.Replica, st *store.Store, every time.Duration) (stop func()) {
-	stopc := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		var last [32]byte
-		tick := time.NewTicker(every)
-		defer tick.Stop()
-		capture := func() {
-			blob := r.Persist()
-			if blob == nil {
-				return
-			}
-			h := sha256.Sum256(blob)
-			if h == last {
-				return
-			}
-			last = h
-			st.AppendCheckpoint(r.Executed(), blob)
-		}
-		for {
-			select {
-			case <-stopc:
-				capture()
-				return
-			case <-tick.C:
-				capture()
-			}
-		}
-	}()
+// stable checkpoint into the WAL under group commit. The returned stop
+// function takes one final capture (the graceful-shutdown persist) and
+// closes the store, logging any write failure.
+func startPersister(idx int, r *neobft.Replica, st *store.Store, every time.Duration) (stop func()) {
+	p := store.StartPersister(st, every, func() (uint64, []byte) {
+		blob := r.Persist()
+		return r.Executed(), blob
+	})
 	return func() {
-		close(stopc)
-		<-done
-		st.Close()
+		if err := p.Stop(true); err != nil {
+			log.Printf("replica %d: %v", idx, err)
+		}
+		if err := st.Close(); err != nil {
+			log.Printf("replica %d: close store: %v", idx, err)
+		}
 	}
 }
 
@@ -391,7 +368,7 @@ func runAll(o options, exporter *metrics.Exporter) {
 		r := buildReplica(o, join(memberIDs[i]), i, memberIDs, svc, app, restore, replicaRegs[i], rtr)
 		defer r.Close()
 		if st != nil {
-			defer persistReplica(r, st, o.persistEvery)()
+			defer startPersister(i, r, st, o.persistEvery)()
 		}
 	}
 
@@ -476,7 +453,7 @@ func runReplica(o options, exporter *metrics.Exporter, peers *Peers, book *udpne
 	r := buildReplica(o, conn, idx, peers.Members, remoteSvc(peers), app, restore, reg, tr)
 	defer r.Close()
 	if st != nil {
-		defer persistReplica(r, st, o.persistEvery)()
+		defer startPersister(idx, r, st, o.persistEvery)()
 	}
 	defer o.dumpSpans()
 	defer serveMetrics(o, exporter)()
@@ -684,11 +661,4 @@ func printResult(cmd string, res []byte, lat time.Duration) {
 	default:
 		fmt.Printf("ok (%v)\n", lat)
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -102,9 +102,18 @@ func TestKillRecoverRestoresFromDisk(t *testing.T) {
 		}
 		t.Fatalf("timed out waiting for %s (committed=%d, want >=%d)", what, sys.Committed(), target)
 	}
-	// Run far enough that checkpoints stabilize and the persister has
-	// had many chances to journal one.
-	waitCommitted(96, "initial load")
+	// Kill only once replica 3's persister has made a checkpoint
+	// durable: a commit count says nothing about replica 3's disk.
+	durableSlot := func() uint64 {
+		sys.mu.Lock()
+		defer sys.mu.Unlock()
+		return sys.reps[3].persister.DurableSlot()
+	}
+	for deadline := time.Now().Add(15 * time.Second); durableSlot() == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("replica 3 made no checkpoint durable (committed=%d)", sys.Committed())
+		}
+	}
 
 	if err := sys.Kill(3); err != nil {
 		t.Fatal(err)
@@ -117,7 +126,7 @@ func TestKillRecoverRestoresFromDisk(t *testing.T) {
 	if err := sys.Restart(3, false); err != nil {
 		t.Fatal(err)
 	}
-	rec := sys.stores[3].Recovered()
+	rec := sys.reps[3].store.Recovered()
 	if rec.Checkpoint == nil {
 		t.Fatal("warm restart after kill recovered no checkpoint from disk")
 	}

@@ -59,12 +59,8 @@ func (c ExpConfig) build(o Options) *System {
 		o.ClientWindow = c.Window
 	}
 	sys := Build(o)
-	if c.SpanSink != nil && c.TraceRate > 0 {
-		inner := sys.Close
-		sys.Close = func() {
-			c.SpanSink(sys.DrainSpans())
-			inner()
-		}
+	if c.TraceRate > 0 {
+		sys.spanSink = c.SpanSink
 	}
 	return sys
 }

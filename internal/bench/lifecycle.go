@@ -1,342 +1,252 @@
 package bench
 
 import (
-	"crypto/sha256"
+	"errors"
 	"fmt"
 	"os"
-	"sync"
 	"time"
 
 	"neobft/internal/chaos"
-	"neobft/internal/metrics"
-	"neobft/internal/runtime"
+	"neobft/internal/sequencer"
 	"neobft/internal/store"
-	"neobft/internal/tracing"
 	"neobft/internal/transport"
 )
 
-// lifecycle implements crash–restart node management for a built system.
-// The protocol-specific pieces — persisting a checkpoint, stopping a
-// replica, booting a replacement — are closures the build functions fill
-// in; everything else (network membership, conn swapping, runtime
-// replacement, busy-time accounting across incarnations) is shared.
-type lifecycle struct {
-	mu  sync.Mutex
-	fab transport.Fabric
-	mem []transport.NodeID
-	// conns are the swappable counting conns; rconns the conns replicas
-	// and runtimes actually use (the counting conn, wrapped for tracing
-	// when the system is traced — the wrapper survives restarts because
-	// the counting conn underneath it is what swaps).
-	conns    []*countingConn
-	rconns   []transport.Conn
-	trs      []*tracing.Tracer
-	rts      []*runtime.Runtime
-	regs     []*metrics.Registry
-	workers  int
-	alive    []bool
-	blobs    [][]byte
-	busyBase []time.Duration
-
-	// Durable mode (Options.DataDir): stores holds each replica's
-	// on-disk store (the slice is shared with System.stores, so swaps
-	// here are visible to the durable AppFactory wrapper at boot
-	// time), and restart blobs come from disk recovery instead of
-	// lc.blobs. ckptHash dedups the background persister's captures.
-	stores      []*store.Store
-	dataDir     string
-	fsyncLinger time.Duration
-	ckptHash    [][32]byte
-	persistStop chan struct{}
-	persistDone chan struct{}
-
-	// persist returns replica i's restart blob (nil if it has no stable
-	// checkpoint yet — the restart is then effectively cold).
-	persist func(i int) []byte
-	// stop closes replica i (and with it, its runtime).
-	stop func(i int)
-	// boot constructs a replacement replica i over lc.conns[i]/lc.rts[i],
-	// restoring from blob (nil ⇒ cold start). Called with lc.mu held.
-	boot func(i int, restore []byte)
-	// executed reports ops executed at replica i. Called with lc.mu held.
-	executed func(i int) uint64
-	// progress reports replica i's absolute log progress for catch-up
-	// measurement — unlike executed it must not reset across
-	// incarnations (a restored replica resumes at its checkpoint slot).
-	// Nil means executed already has that property. Called with lc.mu
-	// held.
-	progress func(i int) uint64
-}
-
-// installLifecycle wires a lifecycle into the system, overriding the
-// accessors that must stay correct across replica replacement. Build
-// functions call it last, after the base accessors are set.
-func installLifecycle(sys *System, fab transport.Fabric, o Options,
-	mem []transport.NodeID, conns []*countingConn, rconns []transport.Conn,
-	trs []*tracing.Tracer, rts []*runtime.Runtime,
-	regs []*metrics.Registry) *lifecycle {
-	n := len(mem)
-	lc := &lifecycle{
-		fab: fab, mem: mem, conns: conns, rconns: rconns, trs: trs, rts: rts, regs: regs,
-		workers:  o.VerifyWorkers,
-		alive:    make([]bool, n),
-		blobs:    make([][]byte, n),
-		busyBase: make([]time.Duration, n),
-	}
-	for i := range lc.alive {
-		lc.alive[i] = true
-	}
-	sys.NumReplicas = n
-	sys.lc = lc
-	sys.Crash = lc.Crash
-	sys.Kill = lc.Kill
-	sys.Restart = lc.Restart
-	sys.Alive = lc.Alive
-	sys.SkewClock = lc.SkewClock
-	sys.ExecutedAt = lc.Progress
-	sys.ReplicaID = func(i int) transport.NodeID { return mem[i] }
-	sys.PerReplicaBusy = lc.busy
-	sys.Committed = func() uint64 { return lc.Executed(0) }
-	return lc
-}
-
 // Crash persists replica i's stable checkpoint, stops it, and detaches
-// it from the network.
-func (lc *lifecycle) Crash(i int) error { return lc.halt(i, true) }
+// it from the network. In durable mode the persister takes the final
+// capture into the store; the error reports a failed append.
+func (sys *System) Crash(i int) error { return sys.halt(i, true) }
 
 // Kill stops replica i without the graceful final persist — the
 // in-process stand-in for SIGKILL. In durable mode the disk keeps
 // whatever the background persister last wrote; in memory mode the
 // old blob (from a previous crash, possibly stale) is discarded, so a
 // warm restart behaves like a cold one.
-func (lc *lifecycle) Kill(i int) error { return lc.halt(i, false) }
+func (sys *System) Kill(i int) error { return sys.halt(i, false) }
 
-func (lc *lifecycle) halt(i int, graceful bool) error {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	if i < 0 || i >= len(lc.alive) {
+func (sys *System) halt(i int, graceful bool) error {
+	sys.life.Lock()
+	defer sys.life.Unlock()
+	if i < 0 || i >= len(sys.reps) {
 		return fmt.Errorf("bench: no replica %d", i)
 	}
-	if !lc.alive[i] {
+	r := sys.reps[i]
+	if !sys.Alive(i) {
 		return fmt.Errorf("bench: replica %d already down", i)
 	}
-	if graceful {
-		blob := lc.persist(i)
-		if lc.stores != nil {
-			if blob != nil {
-				lc.stores[i].AppendCheckpoint(lc.progressOf(i), blob)
-			}
-		} else {
-			lc.blobs[i] = blob
+	var err error
+	if p := sys.takePersister(r); p != nil {
+		if err = p.Stop(graceful); err != nil {
+			err = fmt.Errorf("bench: replica %d: %w", i, err)
 		}
-	} else if lc.stores == nil {
-		lc.blobs[i] = nil
 	}
-	lc.stop(i)
-	if lc.stores != nil {
-		// Process death: the store's file handles go away. Close is
-		// the simulation's stand-in — the WAL bytes were written
-		// (write(2) survives SIGKILL); only the final graceful
-		// capture above is what a kill loses.
-		lc.stores[i].Close()
+	sys.mu.Lock()
+	defer sys.mu.Unlock()
+	if r.store == nil {
+		r.blob = nil
+		if graceful {
+			r.blob = r.node.handle.Persist()
+		}
 	}
-	lc.busyBase[i] += lc.rts[i].Busy()
-	lc.conns[i].Close()
-	lc.alive[i] = false
-	return nil
+	r.node.handle.Close()
+	if r.store != nil {
+		// Process death: the store's file handles go away. Close is the
+		// simulation's stand-in — the WAL bytes were written (write(2)
+		// survives SIGKILL); only the final graceful capture is what a
+		// kill loses.
+		if cerr := r.store.Close(); err == nil && cerr != nil {
+			err = fmt.Errorf("bench: replica %d: close store: %w", i, cerr)
+		}
+	}
+	r.busyBase += r.rt.Busy()
+	r.conn.Close()
+	r.alive = false
+	return err
 }
 
 // Restart rejoins the network under the same node ID and boots a
 // replacement replica: warm from its persisted checkpoint — read back
 // from the replica's data dir in durable mode, from the in-memory
 // crash blob otherwise — or cold (state wiped, recovery from peers).
-func (lc *lifecycle) Restart(i int, cold bool) error {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	if i < 0 || i >= len(lc.alive) {
+func (sys *System) Restart(i int, cold bool) error {
+	sys.life.Lock()
+	defer sys.life.Unlock()
+	if i < 0 || i >= len(sys.reps) {
 		return fmt.Errorf("bench: no replica %d", i)
 	}
-	if lc.alive[i] {
+	r := sys.reps[i]
+	if sys.Alive(i) {
 		return fmt.Errorf("bench: replica %d already running", i)
 	}
-	var restore []byte
-	if lc.stores != nil {
-		dir := replicaDir(lc.dataDir, i)
+	sys.mu.Lock()
+	defer sys.mu.Unlock()
+	restore := r.blob
+	if r.store != nil {
 		if cold {
-			if err := os.RemoveAll(dir); err != nil {
+			if err := os.RemoveAll(r.store.Dir()); err != nil {
 				return fmt.Errorf("bench: wipe replica %d data dir: %w", i, err)
 			}
 		}
-		st, err := store.Open(dir, store.Options{
-			FsyncLinger: lc.fsyncLinger,
-			Metrics:     lc.regs[i],
-			Tracer:      lc.trs[i],
-		})
-		if err != nil {
-			return fmt.Errorf("bench: reopen store for replica %d: %w", i, err)
+		if err := sys.openStore(r); err != nil {
+			return fmt.Errorf("bench: %w", err)
 		}
-		lc.stores[i] = st
-		lc.ckptHash[i] = [32]byte{}
-		restore = st.Recovered().Checkpoint
-	} else {
-		restore = lc.blobs[i]
-		if cold {
-			restore = nil
-		}
+		restore = r.store.Recovered().Checkpoint
+	} else if cold {
+		restore = nil
 	}
-	conn, err := lc.fab.Join(lc.mem[i])
+	conn, err := sys.Net.Join(sys.mem[i])
 	if err != nil {
 		return fmt.Errorf("bench: rejoin replica %d: %w", i, err)
 	}
-	lc.conns[i].swap(conn)
-	// Same registry and tracer across incarnations: counters keep
-	// accumulating and the runtime's Func gauges are re-pointed at the
-	// new instance.
-	lc.rts[i] = newRuntime(lc.rconns[i], lc.workers, lc.regs[i], lc.trs[i])
-	lc.boot(i, restore)
-	lc.alive[i] = true
+	r.conn.swap(conn)
+	sys.boot(r, restore)
 	return nil
 }
 
-// progressOf is Progress without the aliveness gate, for callers that
-// already hold lc.mu mid-transition.
-func (lc *lifecycle) progressOf(i int) uint64 {
-	if lc.progress != nil {
-		return lc.progress(i)
-	}
-	return lc.executed(i)
+// takePersister detaches replica r's running persister (nil if none)
+// so the caller can stop it without holding mu: the persister's final
+// capture reads protocol state, and readers must not wait on it.
+func (sys *System) takePersister(r *replica) *store.Persister {
+	sys.mu.Lock()
+	defer sys.mu.Unlock()
+	p := r.persister
+	r.persister = nil
+	return p
 }
 
-// armStores switches the lifecycle into durable mode and starts the
-// background persister. Called by Build after the protocol builder
-// has installed the persist/stop/boot closures.
-func (lc *lifecycle) armStores(stores []*store.Store, o Options) {
-	every := o.PersistEvery
-	if every <= 0 {
-		every = 50 * time.Millisecond
+// Close stops every replica, the fabric and the durable stores. It
+// reports any checkpoint append or store close that failed.
+func (sys *System) Close() error {
+	if sys.spanSink != nil {
+		sys.spanSink(sys.DrainSpans())
 	}
-	lc.mu.Lock()
-	lc.stores = stores
-	lc.dataDir = o.DataDir
-	lc.fsyncLinger = o.FsyncLinger
-	lc.ckptHash = make([][32]byte, len(stores))
-	lc.persistStop = make(chan struct{})
-	lc.persistDone = make(chan struct{})
-	for i, st := range stores {
-		st.SetTracer(lc.trs[i])
-	}
-	lc.mu.Unlock()
-	go lc.persistLoop(every)
-}
-
-// persistLoop periodically captures each live replica's Persist()
-// blob into its store as a checkpoint record. The capture runs under
-// lc.mu (it reads protocol state the same way Crash does); the
-// group-commit append happens outside it so a slow fsync never blocks
-// lifecycle transitions. Identical consecutive blobs are deduped, so
-// the WAL only grows when the stable watermark advances.
-func (lc *lifecycle) persistLoop(every time.Duration) {
-	defer close(lc.persistDone)
-	tick := time.NewTicker(every)
-	defer tick.Stop()
-	for {
-		select {
-		case <-lc.persistStop:
-			return
-		case <-tick.C:
-		}
-		for i := range lc.alive {
-			lc.mu.Lock()
-			if !lc.alive[i] {
-				lc.mu.Unlock()
-				continue
-			}
-			blob := lc.persist(i)
-			if blob == nil {
-				lc.mu.Unlock()
-				continue
-			}
-			h := sha256.Sum256(blob)
-			if h == lc.ckptHash[i] {
-				lc.mu.Unlock()
-				continue
-			}
-			lc.ckptHash[i] = h
-			slot := lc.progressOf(i)
-			st := lc.stores[i]
-			lc.mu.Unlock()
-			// The store may race a concurrent kill and be closed —
-			// exactly what a real process losing a write race sees.
-			st.AppendCheckpoint(slot, blob)
+	sys.life.Lock()
+	defer sys.life.Unlock()
+	var errs []error
+	for _, r := range sys.reps {
+		if p := sys.takePersister(r); p != nil {
+			errs = append(errs, p.Stop(false))
 		}
 	}
-}
-
-// stopPersister halts the background persister (no-op in memory mode).
-func (lc *lifecycle) stopPersister() {
-	lc.mu.Lock()
-	stop := lc.persistStop
-	lc.mu.Unlock()
-	if stop == nil {
-		return
+	sys.mu.Lock()
+	defer sys.mu.Unlock()
+	for _, r := range sys.reps {
+		r.node.handle.Close()
 	}
-	select {
-	case <-stop:
-	default:
-		close(stop)
+	sys.Net.Close()
+	for _, r := range sys.reps {
+		if r.store != nil {
+			errs = append(errs, r.store.Close())
+		}
 	}
-	<-lc.persistDone
+	return errors.Join(errs...)
 }
 
 // Alive reports whether replica i is running.
-func (lc *lifecycle) Alive(i int) bool {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	return i >= 0 && i < len(lc.alive) && lc.alive[i]
+func (sys *System) Alive(i int) bool {
+	sys.mu.Lock()
+	defer sys.mu.Unlock()
+	return i >= 0 && i < len(sys.reps) && sys.reps[i].alive
 }
 
 // SkewClock multiplies replica i's timer durations by factor.
-func (lc *lifecycle) SkewClock(i int, factor float64) {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	if i >= 0 && i < len(lc.rts) && lc.alive[i] {
-		lc.rts[i].SetTimerScale(factor)
+func (sys *System) SkewClock(i int, factor float64) {
+	sys.mu.Lock()
+	defer sys.mu.Unlock()
+	if i >= 0 && i < len(sys.reps) && sys.reps[i].alive {
+		sys.reps[i].rt.SetTimerScale(factor)
 	}
 }
 
-// Executed reports ops executed at replica i (0 while it is down).
-func (lc *lifecycle) Executed(i int) uint64 {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	if i < 0 || i >= len(lc.alive) || !lc.alive[i] {
+// Committed reports ops executed at replica 0 (0 while it is down).
+func (sys *System) Committed() uint64 {
+	sys.mu.Lock()
+	defer sys.mu.Unlock()
+	if !sys.reps[0].alive {
 		return 0
 	}
-	return lc.executed(i)
+	return sys.reps[0].node.executed()
 }
 
-// Progress reports replica i's restart-stable log progress (0 while it
-// is down).
-func (lc *lifecycle) Progress(i int) uint64 {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	if i < 0 || i >= len(lc.alive) || !lc.alive[i] {
+// ExecutedAt reports replica i's restart-stable log progress (0 while
+// it is down).
+func (sys *System) ExecutedAt(i int) uint64 {
+	sys.mu.Lock()
+	defer sys.mu.Unlock()
+	if i < 0 || i >= len(sys.reps) || !sys.reps[i].alive {
 		return 0
 	}
-	if lc.progress != nil {
-		return lc.progress(i)
-	}
-	return lc.executed(i)
+	return sys.reps[i].node.progress()
 }
 
-// busy reports per-replica handler busy time summed across incarnations.
-func (lc *lifecycle) busy() []time.Duration {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	out := make([]time.Duration, len(lc.rts))
-	for i, rt := range lc.rts {
-		out[i] = lc.busyBase[i] + rt.Busy()
+// ReplicaID maps replica index to network node ID.
+func (sys *System) ReplicaID(i int) transport.NodeID { return sys.mem[i] }
+
+// PerReplicaBusy reports per-replica handler busy time (verification +
+// apply) summed across incarnations. The busy time of the busiest
+// replica is what bounds throughput when every replica has its own
+// machine (the paper's deployment), so ops ÷ max-busy-time projects the
+// bottleneck throughput from a co-located run.
+func (sys *System) PerReplicaBusy() []time.Duration {
+	sys.mu.Lock()
+	defer sys.mu.Unlock()
+	out := make([]time.Duration, len(sys.reps))
+	for i, r := range sys.reps {
+		out[i] = r.busyBase + r.rt.Busy()
 	}
 	return out
+}
+
+// PerReplicaMsgs returns inbound packet counts per replica.
+func (sys *System) PerReplicaMsgs() []uint64 {
+	out := make([]uint64, len(sys.reps))
+	for i, r := range sys.reps {
+		out[i] = r.conn.count.Load()
+	}
+	return out
+}
+
+// PerReplicaPkts returns per-replica rx+tx packet counts.
+func (sys *System) PerReplicaPkts() []uint64 {
+	out := make([]uint64, len(sys.reps))
+	for i, r := range sys.reps {
+		out[i] = r.conn.count.Load() + r.conn.sent.Load()
+	}
+	return out
+}
+
+// AuthOps sums authenticator operations (tags + verifies) over all
+// replicas, including client-facing MACs and, for MinBFT, the USIG
+// calls that are its authenticators.
+func (sys *System) AuthOps() uint64 {
+	var sum uint64
+	for _, r := range sys.reps {
+		sum += r.auth.Stats().TagOps.Load() + r.auth.Stats().VerifyOps.Load()
+		sum += r.cside.Stats().TagOps.Load() + r.cside.Stats().VerifyOps.Load()
+	}
+	for _, u := range sys.usigs {
+		sum += u.Ops()
+	}
+	return sum
+}
+
+// CrashSequencer crashes the live sequencer switch. It reports false
+// for systems without one (every protocol but NeoBFT).
+func (sys *System) CrashSequencer() bool {
+	if sys.Svc == nil {
+		return false
+	}
+	v, err := sys.Svc.View(1)
+	if err != nil {
+		return false
+	}
+	for _, h := range sys.Switches {
+		if h.ID == v.Sequencer {
+			h.SW.SetFault(sequencer.FaultCrash)
+			return true
+		}
+	}
+	return false
 }
 
 // fleet adapts the system to the chaos executor's fault surface.

@@ -137,7 +137,9 @@ type Options struct {
 	PersistEvery time.Duration
 }
 
-// System is a running system under test.
+// System is a running system under test. Its replicas are assembled
+// by one loop for every protocol (see protocolSpec); the methods below
+// read and drive that one replica slice.
 type System struct {
 	Name string
 	// Net is the fabric the system runs over. Capability interfaces
@@ -150,19 +152,6 @@ type System struct {
 	Svc       *configsvc.Service
 	Switches  []configsvc.SwitchHandle
 
-	// NewClient builds a closed-loop client with a unique identity.
-	NewClient func(id int) Invoker
-	// PerReplicaMsgs returns inbound packet counts per replica.
-	PerReplicaMsgs func() []uint64
-	// PerReplicaBusy returns per-replica handler busy time.
-	PerReplicaBusy func() []time.Duration
-	// PerReplicaPkts returns per-replica rx+tx packet counts.
-	PerReplicaPkts func() []uint64
-	// AuthOps sums authenticator operations (tags + verifies) over all
-	// replicas, including client-facing MACs.
-	AuthOps func() uint64
-	// Committed reports ops executed at replica 0.
-	Committed func() uint64
 	// Replicas exposes protocol-specific handles (*neobft.Replica etc.).
 	Replicas []interface{}
 	// Metrics holds one registry per instrumented node: the replica
@@ -170,31 +159,6 @@ type System struct {
 	// registries for the NeoBFT systems. Run merges them into the
 	// system-wide snapshot of RunResult.Metrics.
 	Metrics []*metrics.Registry
-	// Close stops everything.
-	Close func()
-
-	// Node lifecycle (chaos harness). Crash persists replica i's stable
-	// checkpoint and stops it; Restart boots it again, warm from that
-	// blob or cold (discarding it, forcing snapshot state transfer from
-	// peers). All are installed for every protocol.
-	Crash   func(i int) error
-	Restart func(i int, cold bool) error
-	// Kill stops replica i without the graceful final persist — the
-	// in-process equivalent of SIGKILL. With DataDir set, a warm
-	// restart then recovers from whatever the background persister
-	// last made durable; without it the restart is effectively cold.
-	Kill func(i int) error
-	// Alive reports whether replica i is running.
-	Alive func(i int) bool
-	// SkewClock multiplies replica i's timer durations by factor.
-	SkewClock func(i int, factor float64)
-	// CrashSequencer crashes the live sequencer switch (NeoBFT systems
-	// only; nil or false otherwise).
-	CrashSequencer func() bool
-	// ExecutedAt reports ops executed at replica i.
-	ExecutedAt func(i int) uint64
-	// ReplicaID maps replica index to network node ID.
-	ReplicaID func(i int) transport.NodeID
 	// NumReplicas is the replica count actually built (MinBFT runs 2f+1).
 	NumReplicas int
 
@@ -225,13 +189,21 @@ type System struct {
 	Durable     bool
 	FsyncLinger time.Duration
 
-	// stores holds the per-replica durable stores when Options.DataDir
-	// was set (entries are swapped by restarts); preRegs are the
-	// replica registries, created before the protocol builders run so
-	// the stores can register their metrics into them.
-	stores  []*store.Store
-	preRegs []*metrics.Registry
-	lc      *lifecycle
+	o    Options
+	f    int
+	spec protocolSpec
+	mem  []transport.NodeID
+	// usigs are MinBFT's trusted counters, one per replica. They live
+	// outside the replicas because the enclave state survives a crash
+	// of the untrusted replica around it.
+	usigs []*usig.USIG
+	// life serializes lifecycle transitions (Crash, Kill, Restart,
+	// Close); mu guards the per-incarnation fields of reps. A transition
+	// holds life throughout and mu only while it writes, so it can wait
+	// for a persister to exit without blocking readers.
+	life sync.Mutex
+	mu   sync.Mutex
+	reps []*replica
 
 	// clientReg is the registry shared by every client: client tracers
 	// (phase_e2e_ns / phase_reply_ns are observed client-side) and the
@@ -241,16 +213,18 @@ type System struct {
 	clientReg *metrics.Registry
 	// chaosTr records injected faults as always-sampled spans.
 	chaosTr *tracing.Tracer
+	// spanSink, when set, receives every drained span as Close starts.
+	spanSink func([]tracing.Span)
 }
 
 // newTracer creates one node tracer when tracing is enabled, recording
 // it on the system for DrainSpans. With tracing off it returns nil, and
 // every wrap helper below passes the inner value through untouched.
-func (sys *System) newTracer(o Options, node string, reg *metrics.Registry) *tracing.Tracer {
-	if o.TraceRate <= 0 {
+func (sys *System) newTracer(node string, reg *metrics.Registry) *tracing.Tracer {
+	if sys.o.TraceRate <= 0 {
 		return nil
 	}
-	tr := tracing.New(tracing.Config{Node: node, Rate: o.TraceRate, BufCap: o.TraceBuf, Metrics: reg})
+	tr := tracing.New(tracing.Config{Node: node, Rate: sys.o.TraceRate, BufCap: sys.o.TraceBuf, Metrics: reg})
 	sys.traceMu.Lock()
 	sys.Tracers = append(sys.Tracers, tr)
 	sys.traceMu.Unlock()
@@ -307,10 +281,10 @@ func traceInvoker(in Invoker, tr *tracing.Tracer) Invoker {
 
 // clientTuning bundles the windowing/backoff/metrics knobs every
 // protocol client receives.
-func clientTuning(sys *System, o Options) replication.Tuning {
+func (sys *System) clientTuning() replication.Tuning {
 	return replication.Tuning{
-		Window:  o.ClientWindow,
-		Timeout: o.ClientTimeout,
+		Window:  sys.o.ClientWindow,
+		Timeout: sys.o.ClientTimeout,
 		Metrics: sys.clientReg,
 	}
 }
@@ -318,7 +292,278 @@ func clientTuning(sys *System, o Options) replication.Tuning {
 const (
 	switchBase = transport.NodeID(20000)
 	clientBase = transport.NodeID(10000)
+
+	replicaMaster = "replica-master"
+	clientMaster  = "client-master"
 )
+
+// protocolSpec is one protocol's entry in the assembly table: only what
+// differs between protocols. Everything else (joining the fabric,
+// packet counting, trace envelopes, runtimes, authenticators, metrics
+// registries, durable stores and the crash/restart lifecycle) is the
+// one assembly that Build and the System methods share.
+type protocolSpec struct {
+	// size is the replica count for the configured n and f.
+	size func(n, f int) int
+	// setup builds protocol-wide extras before the replicas (nil =
+	// none): NeoBFT's sequencer switches and configuration service,
+	// MinBFT's USIGs.
+	setup func(sys *System)
+	// newReplica constructs one incarnation of replica r executing app.
+	// Build passes restore = nil; Restart passes the persisted blob.
+	newReplica func(sys *System, r *replica, app replication.App, restore []byte) node
+	// newClient builds a client over an already joined conn.
+	newClient func(sys *System, conn transport.Conn) Invoker
+}
+
+// node is one replica incarnation as the shared lifecycle sees it.
+type node struct {
+	handle interface {
+		Persist() []byte
+		Close()
+	}
+	// executed reports ops executed by this incarnation.
+	executed func() uint64
+	// progress reports log progress for catch-up measurement; where
+	// executed resets across incarnations (NeoBFT), progress resumes
+	// from the restored checkpoint instead.
+	progress func() uint64
+}
+
+func allReplicas(n, _ int) int { return n }
+
+var neoSpec = protocolSpec{
+	size:  allReplicas,
+	setup: setupNeo,
+	newReplica: func(sys *System, r *replica, app replication.App, restore []byte) node {
+		nr := neobft.New(neobft.Config{
+			Self: r.i, N: sys.NumReplicas, F: sys.f,
+			Members:           sys.mem,
+			Group:             1,
+			Conn:              r.rconn,
+			Auth:              r.auth,
+			ClientAuth:        r.cside,
+			App:               app,
+			Variant:           neoVariant(sys.o.Protocol),
+			Byzantine:         sys.o.Protocol == NeoBN,
+			SyncInterval:      sys.o.CheckpointInterval,
+			ConfirmFlushEvery: sys.o.ConfirmFlushEvery,
+			ConfirmBatch:      16,
+			Svc:               sys.Svc,
+			Runtime:           r.rt,
+			Metrics:           r.reg,
+			Restore:           restore,
+		})
+		// The op counter resets on restart; the speculative-execution
+		// slot is restored from the checkpoint.
+		return node{nr, nr.Committed, nr.Executed}
+	},
+	newClient: func(sys *System, conn transport.Conn) Invoker {
+		cl, err := neobft.NewClient(neobft.ClientOptions{
+			Conn:     conn,
+			Master:   []byte(clientMaster),
+			N:        sys.NumReplicas,
+			F:        sys.f,
+			Replicas: sys.mem,
+			Group:    1,
+			Svc:      sys.Svc,
+			Tune:     sys.clientTuning(),
+		})
+		if err != nil {
+			panic(err)
+		}
+		return cl
+	},
+}
+
+var zyzzyvaSpec = protocolSpec{
+	size: allReplicas,
+	newReplica: func(sys *System, r *replica, app replication.App, restore []byte) node {
+		zr := zyzzyva.New(zyzzyva.Config{
+			Self: r.i, N: sys.NumReplicas, F: sys.f,
+			Members:            sys.mem,
+			Conn:               r.rconn,
+			Auth:               r.auth,
+			ClientAuth:         r.cside,
+			App:                app,
+			BatchSize:          sys.o.BatchSize,
+			BatchBytes:         sys.o.BatchBytes,
+			BatchLinger:        sys.o.BatchLinger,
+			BatchAdaptive:      sys.o.BatchAdaptive,
+			CheckpointInterval: sys.o.CheckpointInterval,
+			Silent:             sys.o.Protocol == ZyzzyvaF && r.i == sys.NumReplicas-1,
+			Runtime:            r.rt,
+			Metrics:            r.reg,
+			Restore:            restore,
+		})
+		return node{zr, zr.Executed, zr.Executed}
+	},
+	newClient: func(sys *System, conn transport.Conn) Invoker {
+		// On a shared single core the 4th speculative response can lag;
+		// a larger speculative timeout keeps fault-free Zyzzyva on its
+		// fast path while still penalizing Zyzzyva-F heavily per
+		// operation.
+		const specTimeout = 20 * time.Millisecond
+		return zyzzyva.NewClient(conn, []byte(clientMaster), sys.NumReplicas, sys.f, sys.mem, specTimeout, sys.clientTuning())
+	},
+}
+
+// protocols is the assembly table Build and FleetSize read.
+var protocols = map[Protocol]protocolSpec{
+	NeoHM:    neoSpec,
+	NeoPK:    neoSpec,
+	NeoBN:    neoSpec,
+	Zyzzyva:  zyzzyvaSpec,
+	ZyzzyvaF: zyzzyvaSpec,
+	PBFT: {
+		size: allReplicas,
+		newReplica: func(sys *System, r *replica, app replication.App, restore []byte) node {
+			pr := pbft.New(pbft.Config{
+				Self: r.i, N: sys.NumReplicas, F: sys.f,
+				Members:            sys.mem,
+				Conn:               r.rconn,
+				Auth:               r.auth,
+				ClientAuth:         r.cside,
+				App:                app,
+				BatchSize:          sys.o.BatchSize,
+				BatchBytes:         sys.o.BatchBytes,
+				BatchLinger:        sys.o.BatchLinger,
+				BatchAdaptive:      sys.o.BatchAdaptive,
+				CheckpointInterval: sys.o.CheckpointInterval,
+				Runtime:            r.rt,
+				Metrics:            r.reg,
+				Restore:            restore,
+			})
+			return node{pr, pr.Executed, pr.Executed}
+		},
+		newClient: func(sys *System, conn transport.Conn) Invoker {
+			return pbft.NewClient(conn, []byte(clientMaster), sys.NumReplicas, sys.f, sys.mem, sys.clientTuning())
+		},
+	},
+	HotStuff: {
+		size: allReplicas,
+		newReplica: func(sys *System, r *replica, app replication.App, restore []byte) node {
+			hr := hotstuff.New(hotstuff.Config{
+				Self: r.i, N: sys.NumReplicas, F: sys.f,
+				Members:            sys.mem,
+				Conn:               r.rconn,
+				Auth:               r.auth,
+				ClientAuth:         r.cside,
+				App:                app,
+				BatchSize:          sys.o.BatchSize,
+				BatchBytes:         sys.o.BatchBytes,
+				BatchLinger:        sys.o.BatchLinger,
+				BatchAdaptive:      sys.o.BatchAdaptive,
+				CheckpointInterval: sys.o.CheckpointInterval,
+				Runtime:            r.rt,
+				Metrics:            r.reg,
+				Restore:            restore,
+			})
+			return node{hr, hr.Executed, hr.Executed}
+		},
+		newClient: func(sys *System, conn transport.Conn) Invoker {
+			return hotstuff.NewClient(conn, []byte(clientMaster), sys.NumReplicas, sys.f, sys.mem, sys.clientTuning())
+		},
+	},
+	MinBFT: {
+		// Trusted components reduce the replication factor.
+		size: func(_, f int) int { return 2*f + 1 },
+		setup: func(sys *System) {
+			for i := 0; i < sys.NumReplicas; i++ {
+				sys.usigs = append(sys.usigs, usig.New(uint32(i), []byte("sgx-master")).WithEnclaveDelay(sys.o.USIGDelay))
+			}
+		},
+		newReplica: func(sys *System, r *replica, app replication.App, restore []byte) node {
+			mr := minbft.New(minbft.Config{
+				Self: r.i, N: sys.NumReplicas, F: sys.f,
+				Members:            sys.mem,
+				Conn:               r.rconn,
+				Auth:               r.auth,
+				ClientAuth:         r.cside,
+				App:                app,
+				USIG:               sys.usigs[r.i],
+				BatchSize:          sys.o.BatchSize,
+				BatchBytes:         sys.o.BatchBytes,
+				BatchLinger:        sys.o.BatchLinger,
+				BatchAdaptive:      sys.o.BatchAdaptive,
+				CheckpointInterval: sys.o.CheckpointInterval,
+				Runtime:            r.rt,
+				Metrics:            r.reg,
+				Restore:            restore,
+			})
+			return node{mr, mr.Executed, mr.Executed}
+		},
+		newClient: func(sys *System, conn transport.Conn) Invoker {
+			return minbft.NewClient(conn, []byte(clientMaster), sys.NumReplicas, sys.f, sys.mem, sys.clientTuning())
+		},
+	},
+	Unreplicated: {
+		size: func(int, int) int { return 1 },
+		newReplica: func(sys *System, r *replica, app replication.App, restore []byte) node {
+			s := unreplicated.New(unreplicated.Config{
+				Conn: r.rconn, App: app, ClientAuth: r.cside, Runtime: r.rt,
+				CheckpointInterval: sys.o.CheckpointInterval,
+				Metrics:            r.reg,
+				Restore:            restore,
+			})
+			return node{s, s.Ops, s.Ops}
+		},
+		newClient: func(sys *System, conn transport.Conn) Invoker {
+			return unreplicated.NewClient(conn, sys.mem[0], []byte(clientMaster), sys.clientTuning())
+		},
+	},
+}
+
+func neoVariant(p Protocol) wire.AuthKind {
+	if p == NeoPK {
+		return wire.AuthPK
+	}
+	return wire.AuthHMAC
+}
+
+// setupNeo builds the configuration service and the two sequencer
+// switches (active and standby) the NeoBFT replicas order through.
+func setupNeo(sys *System) {
+	variant := neoVariant(sys.o.Protocol)
+	sys.Svc = configsvc.New(variant, []byte("aom-master"))
+	for i := 0; i < 2; i++ {
+		id := switchBase + transport.NodeID(i)
+		reg := metrics.NewRegistry()
+		tr := sys.newTracer(fmt.Sprintf("sequencer-%d", i), reg)
+		sw := sequencer.New(tracing.WrapConn(join(sys.Net, id), tr), sequencer.Options{
+			Variant:  variant,
+			PKSeed:   []byte{byte(i + 1)},
+			SignRate: sys.o.SignRate,
+			Metrics:  reg,
+			Tracer:   tr,
+		})
+		sys.Metrics = append(sys.Metrics, reg)
+		h := configsvc.SwitchHandle{ID: id, SW: sw}
+		sys.Switches = append(sys.Switches, h)
+		sys.Svc.RegisterSwitch(h)
+	}
+	if _, err := sys.Svc.CreateGroup(1, sys.mem); err != nil {
+		panic(err)
+	}
+}
+
+func specFor(p Protocol) protocolSpec {
+	spec, ok := protocols[p]
+	if !ok {
+		panic(fmt.Sprintf("bench: unknown protocol %q", p))
+	}
+	return spec
+}
+
+// faults is the f a fleet of n replicas tolerates; every replicated
+// protocol tolerates at least one fault.
+func faults(p Protocol, n int) int {
+	f := (n - 1) / 3
+	if f < 1 && p != Unreplicated {
+		f = 1
+	}
+	return f
+}
 
 // FleetSize reports how many replicas Build will create for the given
 // protocol and configured N (0 = default). Chaos schedules are generated
@@ -327,18 +572,7 @@ func FleetSize(p Protocol, n int) int {
 	if n == 0 {
 		n = 4
 	}
-	f := (n - 1) / 3
-	if f < 1 && p != Unreplicated {
-		f = 1
-	}
-	switch p {
-	case Unreplicated:
-		return 1
-	case MinBFT:
-		return 2*f + 1
-	default:
-		return n
-	}
+	return specFor(p).size(n, faults(p, n))
 }
 
 // Build constructs and starts a system under test.
@@ -364,32 +598,83 @@ func Build(o Options) *System {
 	if o.USIGDelay == 0 {
 		o.USIGDelay = 10 * time.Microsecond
 	}
-	f := (o.N - 1) / 3
-	if f < 1 && o.Protocol != Unreplicated {
-		f = 1
+	if o.PersistEvery <= 0 {
+		o.PersistEvery = 50 * time.Millisecond
 	}
+	spec := specFor(o.Protocol)
+	f := faults(o.Protocol, o.N)
+	n := spec.size(o.N, f)
 	sys := &System{
 		Name:          string(o.Protocol),
+		NumReplicas:   n,
+		Chaos:         o.Chaos,
+		Durable:       o.DataDir != "",
 		BatchMax:      o.BatchSize,
 		BatchBytes:    o.BatchBytes,
 		BatchLinger:   o.BatchLinger,
 		BatchAdaptive: o.BatchAdaptive,
 		ClientWindow:  o.ClientWindow,
+		o:             o,
+		f:             f,
+		spec:          spec,
+		mem:           members(n),
+		Replicas:      make([]interface{}, n),
+		clientReg:     metrics.NewRegistry(),
 	}
-	sys.clientReg = metrics.NewRegistry()
-	var fab transport.Fabric
+	if sys.Durable {
+		sys.FsyncLinger = o.FsyncLinger
+	}
+	if sys.Chaos != nil {
+		sys.RecApps = make([]*chaos.RecordingApp, n)
+	}
+	sys.Net, sys.Transport = sys.newFabric()
+	// Replica registries come first in Metrics: the udp fabric maps node
+	// ID i+1 to Metrics[i]. The process-wide Go heap gauges live on the
+	// first registry only: Merge sums Func samples, so registering them
+	// per replica would multiply the (shared) heap by n.
+	for i := 0; i < n; i++ {
+		r := &replica{i: i, reg: metrics.NewRegistry()}
+		sys.reps = append(sys.reps, r)
+		sys.Metrics = append(sys.Metrics, r.reg)
+	}
+	metrics.RegisterHeapGauges(sys.reps[0].reg)
+	if spec.setup != nil {
+		spec.setup(sys)
+	}
+	for _, r := range sys.reps {
+		r.conn = &countingConn{conn: join(sys.Net, sys.mem[r.i])}
+		r.tr = sys.newTracer(fmt.Sprintf("replica-%d", r.i), r.reg)
+		r.rconn = tracing.WrapConn(r.conn, r.tr)
+		r.auth = auth.NewHMACAuth([]byte(replicaMaster), r.i, n)
+		r.cside = auth.NewReplicaSide([]byte(clientMaster), r.i)
+		if sys.Durable {
+			if err := sys.openStore(r); err != nil {
+				panic(fmt.Sprintf("bench: %v", err))
+			}
+		}
+		sys.boot(r, nil)
+	}
+	sys.Metrics = append(sys.Metrics, sys.clientReg)
+	if o.TraceRate > 0 {
+		sys.chaosTr = sys.newTracer("chaos", nil)
+	}
+	return sys
+}
+
+// newFabric builds the fabric Options select and names its kind.
+func (sys *System) newFabric() (transport.Fabric, string) {
+	o := sys.o
 	switch {
 	case o.Fabric != nil:
-		fab = o.Fabric
-		sys.Transport = o.Transport
-		if sys.Transport == "" {
-			sys.Transport = "custom"
+		if o.Transport == "" {
+			return o.Fabric, "custom"
 		}
+		return o.Fabric, o.Transport
 	case o.Transport == "udp":
 		// Real loopback UDP sockets, bound on demand. Per-node conn
 		// counters land in the node's shared metrics registry (replica i
 		// has node ID i+1; switches and clients get private registries).
-		fab = udpnet.NewLoopback(udpnet.FabricConfig{
+		return udpnet.NewLoopback(udpnet.FabricConfig{
 			Config: udpnet.Config{RcvBuf: 1 << 20, SndBuf: 1 << 20},
 			MetricsFor: func(id transport.NodeID) *metrics.Registry {
 				if i := int(id) - 1; i >= 0 && i < len(sys.Metrics) {
@@ -397,8 +682,7 @@ func Build(o Options) *System {
 				}
 				return nil
 			},
-		})
-		sys.Transport = "udp"
+		}), "udp"
 	case o.Transport == "" || o.Transport == "simnet":
 		netOpts := o.Net
 		if netOpts.Latency > 0 && netOpts.LatencyOverride == nil {
@@ -427,102 +711,90 @@ func Build(o Options) *System {
 				return from >= switchBase // only aom multicast drops
 			}
 		}
-		fab = simnet.Fabric{Network: simnet.New(netOpts)}
-		sys.Transport = "simnet"
+		return simnet.Fabric{Network: simnet.New(netOpts)}, "simnet"
 	default:
 		panic(fmt.Sprintf("bench: unknown transport %q", o.Transport))
 	}
-	sys.Net = fab
-	// Replica registries are created before the protocol builders run
-	// (newRegistries hands these out) so the durable stores can
-	// register their metrics into the same per-replica registries.
-	nrep := FleetSize(o.Protocol, o.N)
-	sys.preRegs = make([]*metrics.Registry, nrep)
-	for i := range sys.preRegs {
-		sys.preRegs[i] = metrics.NewRegistry()
-	}
-	metrics.RegisterHeapGauges(sys.preRegs[0])
-	sys.Metrics = append(sys.Metrics, sys.preRegs...)
-	if o.DataDir != "" {
-		sys.Durable = true
-		sys.FsyncLinger = o.FsyncLinger
-		sys.stores = make([]*store.Store, nrep)
-		for i := range sys.stores {
-			st, err := store.Open(replicaDir(o.DataDir, i), store.Options{
-				FsyncLinger: o.FsyncLinger,
-				Metrics:     sys.preRegs[i],
-			})
-			if err != nil {
-				panic(fmt.Sprintf("bench: open store for replica %d: %v", i, err))
-			}
-			sys.stores[i] = st
-		}
-		// Journal every executed op (write-behind) through the
-		// replica's current store. The factory reads sys.stores at
-		// boot time, so a restarted replica journals into the store
-		// its restart reopened.
-		inner := o.AppFactory
-		o.AppFactory = func(i int) replication.App {
-			return store.Durable(inner(i), sys.stores[i])
-		}
-	}
-	if o.Chaos != nil {
-		// Wrap every replica's app so execution histories are recorded
-		// for the post-run safety check. The wrapper snapshots/restores
-		// the history alongside the inner app, so state transfer carries
-		// it to recovering replicas.
-		sys.Chaos = o.Chaos
-		inner := o.AppFactory
-		o.AppFactory = func(i int) replication.App {
-			ra := chaos.NewRecordingApp(inner(i))
-			for len(sys.RecApps) <= i {
-				sys.RecApps = append(sys.RecApps, nil)
-			}
-			sys.RecApps[i] = ra
-			return ra
-		}
-	}
+}
 
-	switch o.Protocol {
-	case NeoHM, NeoPK, NeoBN:
-		buildNeo(sys, o, fab, f)
-	case PBFT:
-		buildPBFT(sys, o, fab, f)
-	case Zyzzyva, ZyzzyvaF:
-		buildZyzzyva(sys, o, fab, f)
-	case HotStuff:
-		buildHotStuff(sys, o, fab, f)
-	case MinBFT:
-		buildMinBFT(sys, o, fab, f)
-	case Unreplicated:
-		buildUnreplicated(sys, o, fab)
-	default:
-		panic(fmt.Sprintf("bench: unknown protocol %q", o.Protocol))
+// replica is one member of the fleet: the wiring that spans restarts
+// (counted conn, tracer, registry, authenticators) and its current
+// incarnation.
+type replica struct {
+	i     int
+	conn  *countingConn
+	rconn transport.Conn // conn as the runtime sees it: trace-wrapped when tracing
+	tr    *tracing.Tracer
+	reg   *metrics.Registry
+	auth  *auth.HMACAuth
+	cside *auth.ReplicaSide
+
+	// The incarnation: guarded by System.mu, written only under
+	// System.life (or during Build).
+	alive     bool
+	rt        *runtime.Runtime
+	node      node
+	busyBase  time.Duration    // runtime busy time of earlier incarnations
+	blob      []byte           // in-memory restart blob (no DataDir)
+	store     *store.Store     // durable state (DataDir), reopened per incarnation
+	persister *store.Persister // nil without DataDir
+}
+
+// boot starts a new incarnation of replica r over its conn: a fresh
+// runtime (same registry and tracer, so counters keep accumulating) and
+// protocol replica, restored from blob (nil = cold), plus its persister
+// in durable mode.
+func (sys *System) boot(r *replica, restore []byte) {
+	r.rt = runtime.New(runtime.Config{Conn: r.rconn, Workers: sys.o.VerifyWorkers, Metrics: r.reg, Tracer: r.tr})
+	r.node = sys.spec.newReplica(sys, r, sys.newApp(r), restore)
+	sys.Replicas[r.i] = r.node.handle
+	r.alive = true
+	if r.store != nil {
+		nd := r.node
+		r.persister = store.StartPersister(r.store, sys.o.PersistEvery, func() (uint64, []byte) {
+			blob := nd.handle.Persist()
+			return nd.progress(), blob
+		})
 	}
-	// Appended after the replica and switch registries: the udp fabric's
-	// MetricsFor maps node ID i+1 to Metrics[i], so the client registry
-	// must not shift those indices.
-	sys.Metrics = append(sys.Metrics, sys.clientReg)
-	if o.TraceRate > 0 {
-		sys.chaosTr = sys.newTracer(o, "chaos", nil)
+}
+
+// newApp builds replica r's state machine: journaled to its store in
+// durable mode, and wrapped so execution histories are recorded for the
+// post-run safety check when chaos is armed. The recording wrapper
+// snapshots and restores the history alongside the inner app, so state
+// transfer carries it to recovering replicas.
+func (sys *System) newApp(r *replica) replication.App {
+	app := sys.o.AppFactory(r.i)
+	if r.store != nil {
+		app = store.Durable(app, r.store)
 	}
-	if sys.stores != nil && sys.lc != nil {
-		// All protocol closures are set now: arm the disk-backed
-		// lifecycle (kill-and-recover restarts + background persister)
-		// and make Close flush and release the stores.
-		sys.lc.armStores(sys.stores, o)
-		inner := sys.Close
-		sys.Close = func() {
-			sys.lc.stopPersister()
-			inner()
-			for _, st := range sys.stores {
-				if st != nil {
-					st.Close()
-				}
-			}
-		}
+	if sys.Chaos != nil {
+		sys.RecApps[r.i] = chaos.NewRecordingApp(app)
+		app = sys.RecApps[r.i]
 	}
-	return sys
+	return app
+}
+
+// openStore opens replica r's durable store under the data dir,
+// recovering whatever an earlier incarnation made durable there.
+func (sys *System) openStore(r *replica) error {
+	st, err := store.Open(replicaDir(sys.o.DataDir, r.i), store.Options{
+		FsyncLinger: sys.o.FsyncLinger,
+		Metrics:     r.reg,
+		Tracer:      r.tr,
+	})
+	if err != nil {
+		return fmt.Errorf("open store for replica %d: %w", r.i, err)
+	}
+	r.store = st
+	return nil
+}
+
+// NewClient builds a closed-loop client with a unique identity.
+func (sys *System) NewClient(id int) Invoker {
+	tr := sys.newTracer(fmt.Sprintf("client-%d", id), sys.clientReg)
+	conn := tracing.WrapConn(join(sys.Net, clientBase+transport.NodeID(id)), tr)
+	return traceInvoker(sys.spec.newClient(sys, conn), tr)
 }
 
 // replicaDir is replica i's store directory under a system data dir.
@@ -542,8 +814,8 @@ func join(fab transport.Fabric, id transport.NodeID) transport.Conn {
 }
 
 // countingConn wraps a transport.Conn, counting inbound and outbound
-// packets. Handler busy time is measured by the replica runtimes (see
-// busyCounter), which time verification and apply work directly.
+// packets. Handler busy time is measured by the replica runtimes, which
+// time verification and apply work directly.
 //
 // The inner conn is swappable: a crash–restart cycle closes the old
 // simnet node and joins a fresh one, but keeps the countingConn (and its
@@ -591,586 +863,4 @@ func members(n int) []transport.NodeID {
 		out[i] = transport.NodeID(i + 1)
 	}
 	return out
-}
-
-func joinCounting(fab transport.Fabric, id transport.NodeID) *countingConn {
-	return &countingConn{conn: join(fab, id)}
-}
-
-func msgCounter(conns []*countingConn) func() []uint64 {
-	return func() []uint64 {
-		out := make([]uint64, len(conns))
-		for i, c := range conns {
-			out[i] = c.count.Load()
-		}
-		return out
-	}
-}
-
-func pktCounter(conns []*countingConn) func() []uint64 {
-	return func() []uint64 {
-		out := make([]uint64, len(conns))
-		for i, c := range conns {
-			out[i] = c.count.Load() + c.sent.Load()
-		}
-		return out
-	}
-}
-
-// newRuntime builds one replica runtime over a counted (and, when
-// tracing, envelope-wrapped) conn, honoring the benchmark's worker
-// override and registering the runtime stages into the replica's shared
-// metrics registry.
-func newRuntime(conn transport.Conn, workers int, reg *metrics.Registry, tr *tracing.Tracer) *runtime.Runtime {
-	return runtime.New(runtime.Config{Conn: conn, Workers: workers, Metrics: reg, Tracer: tr})
-}
-
-// newRegistries hands each builder the per-replica registries Build
-// pre-created (and already appended to sys.Metrics). The process-wide
-// Go heap gauges live on the first registry only: Merge sums Func
-// samples, so registering them per replica would multiply the
-// (shared) heap by n.
-func newRegistries(sys *System, n int) []*metrics.Registry {
-	if n != len(sys.preRegs) {
-		panic(fmt.Sprintf("bench: builder wants %d registries, FleetSize said %d", n, len(sys.preRegs)))
-	}
-	return sys.preRegs
-}
-
-// busyCounter reports per-replica busy time (verification + apply) from
-// the runtimes. The busy time of the busiest replica is what bounds
-// throughput when every replica has its own machine (the paper's
-// deployment), so ops ÷ max-busy-time projects the bottleneck
-// throughput from a co-located run.
-func busyCounter(rts []*runtime.Runtime) func() []time.Duration {
-	return func() []time.Duration {
-		out := make([]time.Duration, len(rts))
-		for i, rt := range rts {
-			out[i] = rt.Busy()
-		}
-		return out
-	}
-}
-
-func authCounter(auths []*auth.HMACAuth, clientSides []*auth.ReplicaSide) func() uint64 {
-	return func() uint64 {
-		var sum uint64
-		for _, a := range auths {
-			sum += a.Stats().TagOps.Load() + a.Stats().VerifyOps.Load()
-		}
-		for _, c := range clientSides {
-			sum += c.Stats().TagOps.Load() + c.Stats().VerifyOps.Load()
-		}
-		return sum
-	}
-}
-
-const (
-	replicaMaster = "replica-master"
-	clientMaster  = "client-master"
-)
-
-func buildNeo(sys *System, o Options, fab transport.Fabric, f int) {
-	variant := wire.AuthHMAC
-	if o.Protocol == NeoPK {
-		variant = wire.AuthPK
-	}
-	byz := o.Protocol == NeoBN
-	svc := configsvc.New(variant, []byte("aom-master"))
-	sys.Svc = svc
-	var swRegs []*metrics.Registry
-	for i := 0; i < 2; i++ {
-		id := switchBase + transport.NodeID(i)
-		swReg := metrics.NewRegistry()
-		swTr := sys.newTracer(o, fmt.Sprintf("sequencer-%d", i), swReg)
-		sw := sequencer.New(tracing.WrapConn(join(fab, id), swTr), sequencer.Options{
-			Variant:  variant,
-			PKSeed:   []byte{byte(i + 1)},
-			SignRate: o.SignRate,
-			Metrics:  swReg,
-			Tracer:   swTr,
-		})
-		swRegs = append(swRegs, swReg)
-		h := configsvc.SwitchHandle{ID: id, SW: sw}
-		sys.Switches = append(sys.Switches, h)
-		svc.RegisterSwitch(h)
-	}
-	mem := members(o.N)
-	if _, err := svc.CreateGroup(1, mem); err != nil {
-		panic(err)
-	}
-	conns := make([]*countingConn, o.N)
-	rconns := make([]transport.Conn, o.N)
-	trs := make([]*tracing.Tracer, o.N)
-	rts := make([]*runtime.Runtime, o.N)
-	auths := make([]*auth.HMACAuth, o.N)
-	csides := make([]*auth.ReplicaSide, o.N)
-	replicas := make([]*neobft.Replica, o.N)
-	regs := newRegistries(sys, o.N)
-	sys.Metrics = append(sys.Metrics, swRegs...)
-	for i := 0; i < o.N; i++ {
-		conns[i] = joinCounting(fab, mem[i])
-		trs[i] = sys.newTracer(o, fmt.Sprintf("replica-%d", i), regs[i])
-		rconns[i] = tracing.WrapConn(conns[i], trs[i])
-		rts[i] = newRuntime(rconns[i], o.VerifyWorkers, regs[i], trs[i])
-		auths[i] = auth.NewHMACAuth([]byte(replicaMaster), i, o.N)
-		csides[i] = auth.NewReplicaSide([]byte(clientMaster), i)
-		replicas[i] = neobft.New(neobft.Config{
-			Self: i, N: o.N, F: f,
-			Members:           mem,
-			Group:             1,
-			Conn:              rconns[i],
-			Auth:              auths[i],
-			ClientAuth:        csides[i],
-			App:               o.AppFactory(i),
-			Variant:           variant,
-			Byzantine:         byz,
-			SyncInterval:      o.CheckpointInterval,
-			ConfirmFlushEvery: o.ConfirmFlushEvery,
-			ConfirmBatch:      16,
-			Svc:               svc,
-			Runtime:           rts[i],
-			Metrics:           regs[i],
-		})
-		sys.Replicas = append(sys.Replicas, replicas[i])
-	}
-	sys.PerReplicaMsgs = msgCounter(conns)
-	sys.PerReplicaBusy = busyCounter(rts)
-	sys.PerReplicaPkts = pktCounter(conns)
-	sys.AuthOps = authCounter(auths, csides)
-	sys.Committed = func() uint64 { return replicas[0].Committed() }
-	sys.NewClient = func(id int) Invoker {
-		ctr := sys.newTracer(o, fmt.Sprintf("client-%d", id), sys.clientReg)
-		cl, err := neobft.NewClient(neobft.ClientOptions{
-			Conn:     tracing.WrapConn(join(fab, clientBase+transport.NodeID(id)), ctr),
-			Master:   []byte(clientMaster),
-			N:        o.N,
-			F:        f,
-			Replicas: mem,
-			Group:    1,
-			Svc:      svc,
-			Tune:     clientTuning(sys, o),
-		})
-		if err != nil {
-			panic(err)
-		}
-		return traceInvoker(cl, ctr)
-	}
-	sys.Close = func() {
-		for _, r := range replicas {
-			r.Close()
-		}
-		fab.Close()
-	}
-	sys.CrashSequencer = func() bool {
-		v, err := svc.View(1)
-		if err != nil {
-			return false
-		}
-		for _, h := range sys.Switches {
-			if h.ID == v.Sequencer {
-				h.SW.SetFault(sequencer.FaultCrash)
-				return true
-			}
-		}
-		return false
-	}
-	lc := installLifecycle(sys, fab, o, mem, conns, rconns, trs, rts, regs)
-	lc.persist = func(i int) []byte { return replicas[i].Persist() }
-	lc.stop = func(i int) { replicas[i].Close() }
-	lc.executed = func(i int) uint64 { return replicas[i].Committed() }
-	// The op counter resets on restart; the speculative-execution slot is
-	// restored from the checkpoint, so catch-up is measured against it.
-	lc.progress = func(i int) uint64 { return replicas[i].Executed() }
-	lc.boot = func(i int, restore []byte) {
-		replicas[i] = neobft.New(neobft.Config{
-			Self: i, N: o.N, F: f,
-			Members:           mem,
-			Group:             1,
-			Conn:              rconns[i],
-			Auth:              auths[i],
-			ClientAuth:        csides[i],
-			App:               o.AppFactory(i),
-			Variant:           variant,
-			Byzantine:         byz,
-			SyncInterval:      o.CheckpointInterval,
-			ConfirmFlushEvery: o.ConfirmFlushEvery,
-			ConfirmBatch:      16,
-			Svc:               svc,
-			Runtime:           lc.rts[i],
-			Metrics:           regs[i],
-			Restore:           restore,
-		})
-		sys.Replicas[i] = replicas[i]
-	}
-}
-
-func buildPBFT(sys *System, o Options, fab transport.Fabric, f int) {
-	mem := members(o.N)
-	conns := make([]*countingConn, o.N)
-	rconns := make([]transport.Conn, o.N)
-	trs := make([]*tracing.Tracer, o.N)
-	rts := make([]*runtime.Runtime, o.N)
-	auths := make([]*auth.HMACAuth, o.N)
-	csides := make([]*auth.ReplicaSide, o.N)
-	replicas := make([]*pbft.Replica, o.N)
-	regs := newRegistries(sys, o.N)
-	for i := 0; i < o.N; i++ {
-		conns[i] = joinCounting(fab, mem[i])
-		trs[i] = sys.newTracer(o, fmt.Sprintf("replica-%d", i), regs[i])
-		rconns[i] = tracing.WrapConn(conns[i], trs[i])
-		rts[i] = newRuntime(rconns[i], o.VerifyWorkers, regs[i], trs[i])
-		auths[i] = auth.NewHMACAuth([]byte(replicaMaster), i, o.N)
-		csides[i] = auth.NewReplicaSide([]byte(clientMaster), i)
-		replicas[i] = pbft.New(pbft.Config{
-			Self: i, N: o.N, F: f,
-			Members:            mem,
-			Conn:               rconns[i],
-			Auth:               auths[i],
-			ClientAuth:         csides[i],
-			App:                o.AppFactory(i),
-			BatchSize:          o.BatchSize,
-			BatchBytes:         o.BatchBytes,
-			BatchLinger:        o.BatchLinger,
-			BatchAdaptive:      o.BatchAdaptive,
-			CheckpointInterval: o.CheckpointInterval,
-			Runtime:            rts[i],
-			Metrics:            regs[i],
-		})
-		sys.Replicas = append(sys.Replicas, replicas[i])
-	}
-	sys.PerReplicaMsgs = msgCounter(conns)
-	sys.PerReplicaBusy = busyCounter(rts)
-	sys.PerReplicaPkts = pktCounter(conns)
-	sys.AuthOps = authCounter(auths, csides)
-	sys.Committed = func() uint64 { return replicas[0].Executed() }
-	sys.NewClient = func(id int) Invoker {
-		ctr := sys.newTracer(o, fmt.Sprintf("client-%d", id), sys.clientReg)
-		return traceInvoker(pbft.NewClient(
-			tracing.WrapConn(join(fab, clientBase+transport.NodeID(id)), ctr),
-			[]byte(clientMaster), o.N, f, mem, clientTuning(sys, o)), ctr)
-	}
-	sys.Close = func() {
-		for _, r := range replicas {
-			r.Close()
-		}
-		fab.Close()
-	}
-	lc := installLifecycle(sys, fab, o, mem, conns, rconns, trs, rts, regs)
-	lc.persist = func(i int) []byte { return replicas[i].Persist() }
-	lc.stop = func(i int) { replicas[i].Close() }
-	lc.executed = func(i int) uint64 { return replicas[i].Executed() }
-	lc.boot = func(i int, restore []byte) {
-		replicas[i] = pbft.New(pbft.Config{
-			Self: i, N: o.N, F: f,
-			Members:            mem,
-			Conn:               rconns[i],
-			Auth:               auths[i],
-			ClientAuth:         csides[i],
-			App:                o.AppFactory(i),
-			BatchSize:          o.BatchSize,
-			BatchBytes:         o.BatchBytes,
-			BatchLinger:        o.BatchLinger,
-			BatchAdaptive:      o.BatchAdaptive,
-			CheckpointInterval: o.CheckpointInterval,
-			Runtime:            lc.rts[i],
-			Metrics:            regs[i],
-			Restore:            restore,
-		})
-		sys.Replicas[i] = replicas[i]
-	}
-}
-
-func buildZyzzyva(sys *System, o Options, fab transport.Fabric, f int) {
-	mem := members(o.N)
-	conns := make([]*countingConn, o.N)
-	rconns := make([]transport.Conn, o.N)
-	trs := make([]*tracing.Tracer, o.N)
-	rts := make([]*runtime.Runtime, o.N)
-	auths := make([]*auth.HMACAuth, o.N)
-	csides := make([]*auth.ReplicaSide, o.N)
-	replicas := make([]*zyzzyva.Replica, o.N)
-	regs := newRegistries(sys, o.N)
-	for i := 0; i < o.N; i++ {
-		conns[i] = joinCounting(fab, mem[i])
-		trs[i] = sys.newTracer(o, fmt.Sprintf("replica-%d", i), regs[i])
-		rconns[i] = tracing.WrapConn(conns[i], trs[i])
-		rts[i] = newRuntime(rconns[i], o.VerifyWorkers, regs[i], trs[i])
-		auths[i] = auth.NewHMACAuth([]byte(replicaMaster), i, o.N)
-		csides[i] = auth.NewReplicaSide([]byte(clientMaster), i)
-		replicas[i] = zyzzyva.New(zyzzyva.Config{
-			Self: i, N: o.N, F: f,
-			Members:            mem,
-			Conn:               rconns[i],
-			Auth:               auths[i],
-			ClientAuth:         csides[i],
-			App:                o.AppFactory(i),
-			BatchSize:          o.BatchSize,
-			BatchBytes:         o.BatchBytes,
-			BatchLinger:        o.BatchLinger,
-			BatchAdaptive:      o.BatchAdaptive,
-			CheckpointInterval: o.CheckpointInterval,
-			Silent:             o.Protocol == ZyzzyvaF && i == o.N-1,
-			Runtime:            rts[i],
-			Metrics:            regs[i],
-		})
-		sys.Replicas = append(sys.Replicas, replicas[i])
-	}
-	// On a shared single core the 4th speculative response can lag; a
-	// larger speculative timeout keeps fault-free Zyzzyva on its fast
-	// path while still penalizing Zyzzyva-F heavily per operation.
-	specTimeout := 20 * time.Millisecond
-	sys.PerReplicaMsgs = msgCounter(conns)
-	sys.PerReplicaBusy = busyCounter(rts)
-	sys.PerReplicaPkts = pktCounter(conns)
-	sys.AuthOps = authCounter(auths, csides)
-	sys.Committed = func() uint64 { return replicas[0].Executed() }
-	sys.NewClient = func(id int) Invoker {
-		ctr := sys.newTracer(o, fmt.Sprintf("client-%d", id), sys.clientReg)
-		return traceInvoker(zyzzyva.NewClient(
-			tracing.WrapConn(join(fab, clientBase+transport.NodeID(id)), ctr),
-			[]byte(clientMaster), o.N, f, mem, specTimeout, clientTuning(sys, o)), ctr)
-	}
-	sys.Close = func() {
-		for _, r := range replicas {
-			r.Close()
-		}
-		fab.Close()
-	}
-	lc := installLifecycle(sys, fab, o, mem, conns, rconns, trs, rts, regs)
-	lc.persist = func(i int) []byte { return replicas[i].Persist() }
-	lc.stop = func(i int) { replicas[i].Close() }
-	lc.executed = func(i int) uint64 { return replicas[i].Executed() }
-	lc.boot = func(i int, restore []byte) {
-		replicas[i] = zyzzyva.New(zyzzyva.Config{
-			Self: i, N: o.N, F: f,
-			Members:            mem,
-			Conn:               rconns[i],
-			Auth:               auths[i],
-			ClientAuth:         csides[i],
-			App:                o.AppFactory(i),
-			BatchSize:          o.BatchSize,
-			BatchBytes:         o.BatchBytes,
-			BatchLinger:        o.BatchLinger,
-			BatchAdaptive:      o.BatchAdaptive,
-			CheckpointInterval: o.CheckpointInterval,
-			Silent:             o.Protocol == ZyzzyvaF && i == o.N-1,
-			Runtime:            lc.rts[i],
-			Metrics:            regs[i],
-			Restore:            restore,
-		})
-		sys.Replicas[i] = replicas[i]
-	}
-}
-
-func buildHotStuff(sys *System, o Options, fab transport.Fabric, f int) {
-	mem := members(o.N)
-	conns := make([]*countingConn, o.N)
-	rconns := make([]transport.Conn, o.N)
-	trs := make([]*tracing.Tracer, o.N)
-	rts := make([]*runtime.Runtime, o.N)
-	auths := make([]*auth.HMACAuth, o.N)
-	csides := make([]*auth.ReplicaSide, o.N)
-	replicas := make([]*hotstuff.Replica, o.N)
-	regs := newRegistries(sys, o.N)
-	for i := 0; i < o.N; i++ {
-		conns[i] = joinCounting(fab, mem[i])
-		trs[i] = sys.newTracer(o, fmt.Sprintf("replica-%d", i), regs[i])
-		rconns[i] = tracing.WrapConn(conns[i], trs[i])
-		rts[i] = newRuntime(rconns[i], o.VerifyWorkers, regs[i], trs[i])
-		auths[i] = auth.NewHMACAuth([]byte(replicaMaster), i, o.N)
-		csides[i] = auth.NewReplicaSide([]byte(clientMaster), i)
-		replicas[i] = hotstuff.New(hotstuff.Config{
-			Self: i, N: o.N, F: f,
-			Members:            mem,
-			Conn:               rconns[i],
-			Auth:               auths[i],
-			ClientAuth:         csides[i],
-			App:                o.AppFactory(i),
-			BatchSize:          o.BatchSize,
-			BatchBytes:         o.BatchBytes,
-			BatchLinger:        o.BatchLinger,
-			BatchAdaptive:      o.BatchAdaptive,
-			CheckpointInterval: o.CheckpointInterval,
-			Runtime:            rts[i],
-			Metrics:            regs[i],
-		})
-		sys.Replicas = append(sys.Replicas, replicas[i])
-	}
-	sys.PerReplicaMsgs = msgCounter(conns)
-	sys.PerReplicaBusy = busyCounter(rts)
-	sys.PerReplicaPkts = pktCounter(conns)
-	sys.AuthOps = authCounter(auths, csides)
-	sys.Committed = func() uint64 { return replicas[0].Executed() }
-	sys.NewClient = func(id int) Invoker {
-		ctr := sys.newTracer(o, fmt.Sprintf("client-%d", id), sys.clientReg)
-		return traceInvoker(hotstuff.NewClient(
-			tracing.WrapConn(join(fab, clientBase+transport.NodeID(id)), ctr),
-			[]byte(clientMaster), o.N, f, mem, clientTuning(sys, o)), ctr)
-	}
-	sys.Close = func() {
-		for _, r := range replicas {
-			r.Close()
-		}
-		fab.Close()
-	}
-	lc := installLifecycle(sys, fab, o, mem, conns, rconns, trs, rts, regs)
-	lc.persist = func(i int) []byte { return replicas[i].Persist() }
-	lc.stop = func(i int) { replicas[i].Close() }
-	lc.executed = func(i int) uint64 { return replicas[i].Executed() }
-	lc.boot = func(i int, restore []byte) {
-		replicas[i] = hotstuff.New(hotstuff.Config{
-			Self: i, N: o.N, F: f,
-			Members:            mem,
-			Conn:               rconns[i],
-			Auth:               auths[i],
-			ClientAuth:         csides[i],
-			App:                o.AppFactory(i),
-			BatchSize:          o.BatchSize,
-			BatchBytes:         o.BatchBytes,
-			BatchLinger:        o.BatchLinger,
-			BatchAdaptive:      o.BatchAdaptive,
-			CheckpointInterval: o.CheckpointInterval,
-			Runtime:            lc.rts[i],
-			Metrics:            regs[i],
-			Restore:            restore,
-		})
-		sys.Replicas[i] = replicas[i]
-	}
-}
-
-func buildMinBFT(sys *System, o Options, fab transport.Fabric, f int) {
-	n := 2*f + 1 // trusted components reduce the replication factor
-	mem := members(n)
-	conns := make([]*countingConn, n)
-	rconns := make([]transport.Conn, n)
-	trs := make([]*tracing.Tracer, n)
-	rts := make([]*runtime.Runtime, n)
-	auths := make([]*auth.HMACAuth, n)
-	csides := make([]*auth.ReplicaSide, n)
-	usigs := make([]*usig.USIG, n)
-	replicas := make([]*minbft.Replica, n)
-	regs := newRegistries(sys, n)
-	for i := 0; i < n; i++ {
-		conns[i] = joinCounting(fab, mem[i])
-		trs[i] = sys.newTracer(o, fmt.Sprintf("replica-%d", i), regs[i])
-		rconns[i] = tracing.WrapConn(conns[i], trs[i])
-		rts[i] = newRuntime(rconns[i], o.VerifyWorkers, regs[i], trs[i])
-		auths[i] = auth.NewHMACAuth([]byte(replicaMaster), i, n)
-		csides[i] = auth.NewReplicaSide([]byte(clientMaster), i)
-		usigs[i] = usig.New(uint32(i), []byte("sgx-master")).WithEnclaveDelay(o.USIGDelay)
-		replicas[i] = minbft.New(minbft.Config{
-			Self: i, N: n, F: f,
-			Members:            mem,
-			Conn:               rconns[i],
-			Auth:               auths[i],
-			ClientAuth:         csides[i],
-			App:                o.AppFactory(i),
-			USIG:               usigs[i],
-			BatchSize:          o.BatchSize,
-			BatchBytes:         o.BatchBytes,
-			BatchLinger:        o.BatchLinger,
-			BatchAdaptive:      o.BatchAdaptive,
-			CheckpointInterval: o.CheckpointInterval,
-			Runtime:            rts[i],
-			Metrics:            regs[i],
-		})
-		sys.Replicas = append(sys.Replicas, replicas[i])
-	}
-	sys.PerReplicaMsgs = msgCounter(conns)
-	sys.PerReplicaBusy = busyCounter(rts)
-	sys.PerReplicaPkts = pktCounter(conns)
-	baseAuth := authCounter(auths, csides)
-	sys.AuthOps = func() uint64 {
-		// UIs are MinBFT's authenticators: count trusted-component ops too.
-		sum := baseAuth()
-		for _, u := range usigs {
-			sum += u.Ops()
-		}
-		return sum
-	}
-	sys.Committed = func() uint64 { return replicas[0].Executed() }
-	sys.NewClient = func(id int) Invoker {
-		ctr := sys.newTracer(o, fmt.Sprintf("client-%d", id), sys.clientReg)
-		return traceInvoker(minbft.NewClient(
-			tracing.WrapConn(join(fab, clientBase+transport.NodeID(id)), ctr),
-			[]byte(clientMaster), n, f, mem, clientTuning(sys, o)), ctr)
-	}
-	sys.Close = func() {
-		for _, r := range replicas {
-			r.Close()
-		}
-		fab.Close()
-	}
-	lc := installLifecycle(sys, fab, o, mem, conns, rconns, trs, rts, regs)
-	lc.persist = func(i int) []byte { return replicas[i].Persist() }
-	lc.stop = func(i int) { replicas[i].Close() }
-	lc.executed = func(i int) uint64 { return replicas[i].Executed() }
-	lc.boot = func(i int, restore []byte) {
-		// The USIG instance survives the restart: it models a trusted
-		// counter in an enclave, whose monotonic state outlives crashes
-		// of the untrusted replica process around it.
-		replicas[i] = minbft.New(minbft.Config{
-			Self: i, N: n, F: f,
-			Members:            mem,
-			Conn:               rconns[i],
-			Auth:               auths[i],
-			ClientAuth:         csides[i],
-			App:                o.AppFactory(i),
-			USIG:               usigs[i],
-			BatchSize:          o.BatchSize,
-			BatchBytes:         o.BatchBytes,
-			BatchLinger:        o.BatchLinger,
-			BatchAdaptive:      o.BatchAdaptive,
-			CheckpointInterval: o.CheckpointInterval,
-			Runtime:            lc.rts[i],
-			Metrics:            regs[i],
-			Restore:            restore,
-		})
-		sys.Replicas[i] = replicas[i]
-	}
-}
-
-func buildUnreplicated(sys *System, o Options, fab transport.Fabric) {
-	mem := members(1)
-	conns := []*countingConn{joinCounting(fab, mem[0])}
-	regs := newRegistries(sys, 1)
-	trs := []*tracing.Tracer{sys.newTracer(o, "replica-0", regs[0])}
-	rconns := []transport.Conn{tracing.WrapConn(conns[0], trs[0])}
-	rts := []*runtime.Runtime{newRuntime(rconns[0], o.VerifyWorkers, regs[0], trs[0])}
-	cside := auth.NewReplicaSide([]byte(clientMaster), 0)
-	servers := []*unreplicated.Server{unreplicated.New(unreplicated.Config{
-		Conn: rconns[0], App: o.AppFactory(0), ClientAuth: cside, Runtime: rts[0],
-		CheckpointInterval: o.CheckpointInterval,
-		Metrics:            regs[0],
-	})}
-	sys.Replicas = append(sys.Replicas, servers[0])
-	sys.PerReplicaMsgs = msgCounter(conns)
-	sys.PerReplicaBusy = busyCounter(rts)
-	sys.PerReplicaPkts = pktCounter(conns)
-	sys.AuthOps = authCounter(nil, []*auth.ReplicaSide{cside})
-	sys.Committed = servers[0].Ops
-	sys.NewClient = func(id int) Invoker {
-		ctr := sys.newTracer(o, fmt.Sprintf("client-%d", id), sys.clientReg)
-		return traceInvoker(unreplicated.NewClient(
-			tracing.WrapConn(join(fab, clientBase+transport.NodeID(id)), ctr),
-			1, []byte(clientMaster), clientTuning(sys, o)), ctr)
-	}
-	sys.Close = func() {
-		servers[0].Close()
-		fab.Close()
-	}
-	lc := installLifecycle(sys, fab, o, mem, conns, rconns, trs, rts, regs)
-	lc.persist = func(i int) []byte { return servers[i].Persist() }
-	lc.stop = func(i int) { servers[i].Close() }
-	lc.executed = func(i int) uint64 { return servers[i].Ops() }
-	lc.boot = func(i int, restore []byte) {
-		servers[i] = unreplicated.New(unreplicated.Config{
-			Conn: rconns[i], App: o.AppFactory(i), ClientAuth: cside, Runtime: lc.rts[i],
-			CheckpointInterval: o.CheckpointInterval,
-			Metrics:            regs[i],
-			Restore:            restore,
-		})
-		sys.Replicas[i] = servers[i]
-	}
 }

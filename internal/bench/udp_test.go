@@ -91,8 +91,12 @@ func TestUDPLoopbackKillRestart(t *testing.T) {
 	}
 	before := sys.Committed()
 	invoke(10, "degraded")
-	if got := sys.Committed(); got < before+10 {
-		t.Fatalf("committed %d after crash, want >= %d (f=1 progress)", got, before+10)
+	// The client returns on f+1 matching replies, which may exclude
+	// replica 0, so wait (bounded) for it to execute the tenth op.
+	for deadline := time.Now().Add(5 * time.Second); sys.Committed() < before+10; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("committed %d after crash, want >= %d (f=1 progress)", sys.Committed(), before+10)
+		}
 	}
 
 	if err := sys.Restart(victim, false); err != nil {

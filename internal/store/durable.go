@@ -11,7 +11,7 @@ import (
 // RecordOp. Execution never blocks on the disk: the record rides the
 // next group-commit fsync batch, and the append→fsync latency is
 // visible in the store_wal_append_ns histogram. Protocol-level
-// durability comes from the checkpoint records the persist loop
+// durability comes from the checkpoint records the Persister
 // appends, not from this journal (see the package comment).
 //
 // The wrapper always implements replication.Checkpointer, delegating

@@ -2,11 +2,14 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -432,4 +435,42 @@ func BenchmarkWALAppend(b *testing.B) {
 			}
 		}
 	})
+}
+
+// A persister whose store is closed underneath it must report
+// ErrClosed and must not count the failed blob as persisted.
+func TestPersisterReportsClosedStore(t *testing.T) {
+	st, err := Open(t.TempDir(), fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var slot atomic.Uint64
+	slot.Store(1)
+	p := StartPersister(st, time.Millisecond, func() (uint64, []byte) {
+		s := slot.Load()
+		return s, []byte(fmt.Sprintf("ckpt-%d", s))
+	})
+	for deadline := time.Now().Add(5 * time.Second); p.DurableSlot() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("persister never made the first checkpoint durable")
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	slot.Store(2)
+	select {
+	case <-p.done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("persister kept running after its store failed")
+	}
+	if err := p.Stop(true); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Stop() = %v, want ErrClosed", err)
+	}
+	if got := p.DurableSlot(); got != 1 {
+		t.Fatalf("DurableSlot() = %d after a failed append, want 1", got)
+	}
+	if p.last != sha256.Sum256([]byte("ckpt-1")) {
+		t.Fatal("failed blob was recorded as the last one persisted")
+	}
 }
